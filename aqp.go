@@ -17,8 +17,9 @@
 //		{Name: "x", Type: aqp.TypeFloat64},
 //	})
 //	tbl.AppendRow(aqp.Float64(3.14))
-//	res, _ := db.Query("SELECT COUNT(*), AVG(x) FROM t")
-//	approx, _ := db.QueryApprox("SELECT SUM(x) FROM t WITH ERROR 5% CONFIDENCE 95%")
+//	ctx := context.Background()
+//	res, _ := db.Query(ctx, "SELECT COUNT(*), AVG(x) FROM t", aqp.QueryOptions{Mode: "exact"})
+//	approx, _ := db.Query(ctx, "SELECT SUM(x) FROM t WITH ERROR 5% CONFIDENCE 95%", aqp.QueryOptions{})
 package aqp
 
 import (
@@ -28,7 +29,6 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/plan"
 	"repro/internal/shard"
@@ -357,20 +357,112 @@ func (p *QueryProfile) Profile() *Profile { return p.tr.Profile() }
 // String renders the profile as an indented tree.
 func (p *QueryProfile) String() string { return p.tr.Profile().String() }
 
-// runStatement dispatches an already-parsed statement through run,
-// handling the EXPLAIN prefix: plain EXPLAIN returns the optimized plan
-// as rows without executing; EXPLAIN ANALYZE executes under a tracer
-// (reusing a caller-installed one) and returns the rendered profile,
-// keeping the executed query's technique, guarantee, and diagnostics.
-func (db *DB) runStatement(ctx context.Context, stmt *sqlparse.SelectStmt, run func(context.Context) (*Result, error)) (*Result, error) {
+// QueryOptions selects how Query and QueryStmt answer a statement. The
+// zero value routes through the advisor at DefaultErrorSpec.
+type QueryOptions struct {
+	// Mode picks the engine; "" means "auto".
+	//
+	//   - auto: the advisor picks offline samples when a certified fresh
+	//     sample exists, synopses for their narrow class, online sampling
+	//     otherwise, and exact when nothing else is defensible.
+	//   - exact: exact execution; Spec is not used.
+	//   - online: query-time sampling.
+	//   - offline: precomputed offline samples.
+	//   - ola: online aggregation to completion (or early stop per
+	//     config). Past a deadline it returns its best progressive
+	//     estimate with its a-posteriori interval instead of an error.
+	//   - synopsis: precomputed synopses (histogram/HLL/CMS) alone, in
+	//     O(synopsis) time; queries outside that class fail rather than
+	//     fall back.
+	//   - as-written: the statement's TABLESAMPLE clauses are honored
+	//     verbatim, with intervals when sampling was involved — the
+	//     manual-control path for users who place their own samplers.
+	Mode string
+	// Spec is the accuracy target; the zero value means DefaultErrorSpec.
+	// In auto and as-written modes and under Contract, a `WITH ERROR e%
+	// CONFIDENCE c%` clause in the SQL overrides it. The other modes use
+	// Spec as given.
+	Spec ErrorSpec
+	// Contract runs the query under an a-priori error contract: a pilot
+	// run sizes the stage-two sampling fraction that makes the realized CI
+	// land at or below the target, stage two runs at that fraction, and
+	// Diagnostics.Contract records the sizing and the met/missed/infeasible
+	// verdict. Modes auto and online run it on the online engine
+	// (Bernoulli two-stage), ola on one seeded permutation (Stein-style
+	// prefix sampling) and offline on two transient uniform samples of the
+	// base table; other modes are rejected. Targets provably unreachable
+	// within the admission budget are refused honestly: the result is a
+	// best-effort a-posteriori CI and the diagnostics carry
+	// ContractInfeasibleFlag.
+	Contract bool
+	// Progress, in mode ola, is called at every online-aggregation
+	// checkpoint; returning false stops the stream, as does a deadline.
+	Progress func(Progress) bool
+}
+
+// Statement is a parsed SELECT, as Parse returns it. A statement is never
+// modified after parsing, so one can be run any number of times, from any
+// number of goroutines.
+type Statement = sqlparse.SelectStmt
+
+// Parse parses one SELECT statement, optionally prefixed by EXPLAIN or
+// EXPLAIN ANALYZE and suffixed by WITH ERROR e% CONFIDENCE c%.
+func Parse(sql string) (*Statement, error) { return sqlparse.Parse(sql) }
+
+// Modes returns the names QueryOptions.Mode accepts.
+func Modes() []string {
+	return []string{"auto", "exact", "online", "offline", "ola", "synopsis", "as-written"}
+}
+
+// CheckMode reports whether mode is a QueryOptions.Mode name ("" counts
+// as auto) and, when contract is set, one that runs error contracts:
+// auto, online, ola or offline.
+func CheckMode(mode string, contract bool) error {
+	switch mode {
+	case "", "auto", "online", "offline", "ola":
+		return nil
+	case "exact", "synopsis", "as-written":
+		if !contract {
+			return nil
+		}
+		return fmt.Errorf("mode %q does not support contract execution (want auto, online, ola, or offline)", mode)
+	}
+	return fmt.Errorf("unknown mode %q (want auto, exact, online, offline, ola, synopsis, or as-written)", mode)
+}
+
+// Query parses sql and runs it with QueryStmt.
+func (db *DB) Query(ctx context.Context, sql string, opts QueryOptions) (*Result, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.QueryStmt(ctx, stmt, opts)
+}
+
+// QueryStmt runs a parsed statement on the engine opts selects. Scans
+// observe ctx's cancellation and deadline, returning ctx.Err() when it
+// expires (OLA instead stops early; see QueryOptions.Mode).
+//
+// The EXPLAIN prefix is handled here for every mode: plain EXPLAIN returns
+// the optimized plan as rows without executing; EXPLAIN ANALYZE executes
+// under a tracer (reusing a caller-installed one) and returns the rendered
+// profile, keeping the executed query's technique, guarantee, and
+// diagnostics.
+func (db *DB) QueryStmt(ctx context.Context, stmt *Statement, opts QueryOptions) (*Result, error) {
+	if err := CheckMode(opts.Mode, opts.Contract); err != nil {
+		return nil, err
+	}
+	if opts.Progress != nil && (opts.Mode != "ola" || opts.Contract) {
+		return nil, fmt.Errorf("aqp: Progress needs mode ola without a contract")
+	}
 	if !stmt.Explain {
-		res, err := run(ctx)
+		res, err := db.execute(ctx, stmt, opts)
 		if err != nil {
 			return nil, err
 		}
-		// Every facade entry point flows through here, so this one stamp
-		// gives library users (and everything downstream: audits, logs,
-		// the workload registry) the query's shape identity.
+		// Every query flows through here, so this one stamp gives library
+		// users (and everything downstream: audits, logs, the workload
+		// registry) the query's shape identity.
 		res.Diagnostics.Fingerprint = stmt.Fingerprint().Hash
 		return res, nil
 	}
@@ -388,7 +480,8 @@ func (db *DB) runStatement(ctx context.Context, stmt *sqlparse.SelectStmt, run f
 		runCtx = trace.WithTracer(ctx, tr)
 		sp = tr.Root()
 	}
-	res, err := run(runCtx)
+	defer sp.End()
+	res, err := db.execute(runCtx, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -402,6 +495,47 @@ func (db *DB) runStatement(ctx context.Context, stmt *sqlparse.SelectStmt, run f
 	return out, nil
 }
 
+// execute runs stmt on the engine opts.Mode names.
+func (db *DB) execute(ctx context.Context, stmt *Statement, opts QueryOptions) (*Result, error) {
+	spec := opts.Spec
+	if spec == (ErrorSpec{}) {
+		spec = DefaultErrorSpec
+	}
+	if stmt.Error != nil && (opts.Contract || opts.Mode == "as-written") {
+		spec = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
+	}
+	if opts.Contract {
+		switch opts.Mode {
+		case "ola":
+			return db.ola.ExecuteContract(ctx, stmt, spec, db.contractCfg)
+		case "offline":
+			return db.offline.ExecuteContract(ctx, stmt, spec, db.contractCfg)
+		default:
+			return db.online.ExecuteContract(ctx, stmt, spec, db.contractCfg)
+		}
+	}
+	switch opts.Mode {
+	case "exact":
+		return db.exact.ExecuteContext(ctx, stmt, DefaultErrorSpec)
+	case "online":
+		return db.online.ExecuteContext(ctx, stmt, spec)
+	case "offline":
+		return db.offline.ExecuteContext(ctx, stmt, spec)
+	case "ola":
+		return db.ola.ExecuteProgressiveContext(ctx, stmt, spec, opts.Progress)
+	case "synopsis":
+		return db.synopsis.ExecuteContext(ctx, stmt, spec)
+	case "as-written":
+		return core.ExecuteAsWrittenContext(ctx, db.catalog, stmt, spec)
+	}
+	res, dec, err := db.advisor.ExecuteStmtContext(ctx, stmt, spec)
+	if err != nil {
+		return nil, err
+	}
+	res.Diagnostics.Messages = append(res.Diagnostics.Messages, "advisor: "+dec.Reason)
+	return res, nil
+}
+
 // textResult wraps pre-rendered text as a single-column result, one line
 // per row.
 func textResult(col, text string) *Result {
@@ -411,53 +545,6 @@ func textResult(col, text string) *Result {
 		r.Items = append(r.Items, []ItemResult{{Name: col, Value: storage.Str(line)}})
 	}
 	return r
-}
-
-// Query executes a query exactly.
-func (db *DB) Query(sql string) (*Result, error) {
-	return db.QueryContext(context.Background(), sql)
-}
-
-// QueryContext is Query under a context: scans observe cancellation and
-// deadlines, returning ctx.Err() when exceeded.
-func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.exact.ExecuteContext(ctx, stmt, DefaultErrorSpec)
-	})
-}
-
-// QueryApprox routes a query through the advisor: offline samples when a
-// certified fresh sample exists, synopses for their narrow class, online
-// sampling otherwise, exact when nothing else is defensible. A `WITH
-// ERROR e% CONFIDENCE c%` clause in the SQL overrides spec.
-func (db *DB) QueryApprox(sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryApproxContext(context.Background(), sql, spec...)
-}
-
-// QueryApproxContext is QueryApprox under a context. The advisor-chosen
-// engine observes cancellation; the OLA engine degrades gracefully,
-// returning its best progressive estimate at the deadline.
-func (db *DB) QueryApproxContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	s := DefaultErrorSpec
-	if len(spec) > 0 {
-		s = spec[0]
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		res, dec, err := db.advisor.ExecuteStmtContext(ctx, stmt, s)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, "advisor: "+dec.Reason)
-		return res, nil
-	})
 }
 
 // Advise explains which technique the advisor would use, without running
@@ -475,174 +562,6 @@ func (db *DB) Advise(sql string, spec ...ErrorSpec) (Decision, error) {
 		s = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
 	}
 	return db.advisor.Choose(stmt, s), nil
-}
-
-// QueryAsWritten executes the SQL exactly as written, honoring any
-// TABLESAMPLE clauses, and annotates aggregates with confidence intervals
-// when sampling was involved. This is the manual-control path for users
-// who place their own samplers.
-func (db *DB) QueryAsWritten(sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryAsWrittenContext(context.Background(), sql, spec...)
-}
-
-// QueryAsWrittenContext is QueryAsWritten under a context.
-func (db *DB) QueryAsWrittenContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	s := DefaultErrorSpec
-	if len(spec) > 0 {
-		s = spec[0]
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Error != nil {
-		s = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return core.ExecuteAsWrittenContext(ctx, db.catalog, stmt, s)
-	})
-}
-
-// QueryOnline forces the query-time-sampling engine.
-func (db *DB) QueryOnline(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QueryOnlineContext(context.Background(), sql, spec)
-}
-
-// QueryOnlineContext is QueryOnline under a context.
-func (db *DB) QueryOnlineContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.online.ExecuteContext(ctx, stmt, spec)
-	})
-}
-
-// QueryOffline forces the offline-samples engine.
-func (db *DB) QueryOffline(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QueryOfflineContext(context.Background(), sql, spec)
-}
-
-// QueryOfflineContext is QueryOffline under a context.
-func (db *DB) QueryOfflineContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.offline.ExecuteContext(ctx, stmt, spec)
-	})
-}
-
-// QueryOLA runs online aggregation to completion (or early stop per
-// config), ignoring intermediate checkpoints.
-func (db *DB) QueryOLA(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QueryOLAContext(context.Background(), sql, spec)
-}
-
-// QueryOLAContext is QueryOLA under a context. Unlike the other engines,
-// OLA treats an expired deadline as a stopping rule, not an error: it
-// returns the best progressive estimate accumulated so far with its
-// a-posteriori interval.
-func (db *DB) QueryOLAContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.ola.ExecuteContext(ctx, stmt, spec)
-	})
-}
-
-// QueryContract runs the query under an a-priori error contract on the
-// online engine: a pilot run sizes the stage-two sampling fraction that
-// makes the realized CI land at or below the target, stage two runs at
-// that fraction, and Diagnostics.Contract records the sizing and the
-// met/missed/infeasible verdict. A `WITH ERROR e% CONFIDENCE c%` clause
-// overrides spec — that clause is the contract syntax. Targets provably
-// unreachable within the admission budget are refused honestly: the
-// result degrades to a best-effort a-posteriori CI and the diagnostics
-// carry ContractInfeasibleFlag.
-func (db *DB) QueryContract(sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryContractContext(context.Background(), sql, spec...)
-}
-
-// QueryContractContext is QueryContract under a context.
-func (db *DB) QueryContractContext(ctx context.Context, sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryContractOnContext(ctx, TechniqueOnline, sql, spec...)
-}
-
-// QueryContractOn is QueryContract pinned to a specific engine:
-// TechniqueOnline (Bernoulli two-stage), TechniqueOLA (Stein-style
-// two-stage prefix sampling on one seeded permutation), or
-// TechniqueOffline (two transient uniform samples drawn from the base
-// table). Other techniques are rejected.
-func (db *DB) QueryContractOn(tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
-	return db.QueryContractOnContext(context.Background(), tech, sql, spec...)
-}
-
-// QueryContractOnContext is QueryContractOn under a context.
-func (db *DB) QueryContractOnContext(ctx context.Context, tech Technique, sql string, spec ...ErrorSpec) (*Result, error) {
-	s := DefaultErrorSpec
-	if len(spec) > 0 {
-		s = spec[0]
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Error != nil {
-		s = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		switch tech {
-		case TechniqueOnline:
-			return db.online.ExecuteContract(ctx, stmt, s, db.contractCfg)
-		case TechniqueOLA:
-			return db.ola.ExecuteContract(ctx, stmt, s, db.contractCfg)
-		case TechniqueOffline:
-			return db.offline.ExecuteContract(ctx, stmt, s, db.contractCfg)
-		default:
-			return nil, fmt.Errorf("aqp: technique %s does not support error contracts", tech)
-		}
-	})
-}
-
-// QuerySynopsis answers the query from precomputed synopses alone
-// (histogram/HLL/CMS) in O(synopsis) time; queries outside the narrow
-// synopsis-answerable class fail rather than fall back.
-func (db *DB) QuerySynopsis(sql string, spec ErrorSpec) (*Result, error) {
-	return db.QuerySynopsisContext(context.Background(), sql, spec)
-}
-
-// QuerySynopsisContext is QuerySynopsis under a context.
-func (db *DB) QuerySynopsisContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.synopsis.ExecuteContext(ctx, stmt, spec)
-	})
-}
-
-// QueryProgressive runs online aggregation, invoking observe at every
-// checkpoint; observe returning false stops the stream.
-func (db *DB) QueryProgressive(sql string, spec ErrorSpec, observe func(Progress) bool) (*Result, error) {
-	return db.QueryProgressiveContext(context.Background(), sql, spec, observe)
-}
-
-// QueryProgressiveContext is QueryProgressive under a context; deadline
-// expiry stops the stream like an observe returning false.
-func (db *DB) QueryProgressiveContext(ctx context.Context, sql string, spec ErrorSpec, observe func(Progress) bool) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.runStatement(ctx, stmt, func(ctx context.Context) (*Result, error) {
-		return db.ola.ExecuteProgressiveContext(ctx, stmt, spec, observe)
-	})
 }
 
 // BuildOfflineSamples materializes the offline sample ladder for a table
@@ -684,42 +603,6 @@ func (db *DB) BuildSynopsis(table, column string) error {
 // PropertyMatrix measures the no-silver-bullet matrix over probe queries.
 func (db *DB) PropertyMatrix(probe []string, spec ErrorSpec) ([]core.TechniqueProperties, error) {
 	return db.advisor.Matrix(probe, spec)
-}
-
-// Explain renders the optimized logical plan of a query.
-func (db *DB) Explain(sql string) (string, error) {
-	return db.ExplainContext(context.Background(), sql)
-}
-
-// ExplainContext is Explain under a context. Planning is CPU-bound and
-// quick; the context is checked once before work begins.
-func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	p, err := plan.Build(stmt, db.catalog)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(p), nil
-}
-
-// Exec runs a raw plan for a statement and returns the executor-level
-// result — an escape hatch for tooling that needs counters or weights.
-func (db *DB) Exec(sql string) (*exec.Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(stmt, db.catalog)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Run(p)
 }
 
 // FormatResult renders a result as an aligned text table with CI

@@ -79,7 +79,7 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 	spec := aqp.ErrorSpec{RelError: 0.05, Confidence: 0.95}
 	workers := []func(context.Context) error{
 		func(ctx context.Context) error {
-			res, err := db.QueryContext(ctx, "SELECT COUNT(*), SUM(x) FROM t")
+			res, err := db.Query(ctx, "SELECT COUNT(*), SUM(x) FROM t", aqp.QueryOptions{Mode: "exact"})
 			if err != nil {
 				return err
 			}
@@ -91,15 +91,15 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 			return nil
 		},
 		func(ctx context.Context) error {
-			_, err := db.QueryApproxContext(ctx, "SELECT SUM(x) FROM t WITH ERROR 5% CONFIDENCE 95%")
+			_, err := db.Query(ctx, "SELECT SUM(x) FROM t WITH ERROR 5% CONFIDENCE 95%", aqp.QueryOptions{})
 			return err
 		},
 		func(ctx context.Context) error {
-			_, err := db.QueryOnlineContext(ctx, "SELECT AVG(x) FROM t GROUP BY g", spec)
+			_, err := db.Query(ctx, "SELECT AVG(x) FROM t GROUP BY g", aqp.QueryOptions{Mode: "online", Spec: spec})
 			return err
 		},
 		func(ctx context.Context) error {
-			res, err := db.QueryOLAContext(ctx, "SELECT AVG(x) FROM t", spec)
+			res, err := db.Query(ctx, "SELECT AVG(x) FROM t", aqp.QueryOptions{Mode: "ola", Spec: spec})
 			if err != nil {
 				return err
 			}
@@ -109,7 +109,7 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 			return nil
 		},
 		func(ctx context.Context) error {
-			_, err := db.QueryOfflineContext(ctx, "SELECT SUM(x) FROM t", spec)
+			_, err := db.Query(ctx, "SELECT SUM(x) FROM t", aqp.QueryOptions{Mode: "offline", Spec: spec})
 			return err
 		},
 		func(ctx context.Context) error {
@@ -174,13 +174,13 @@ func TestQueryContextDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := db.QueryContext(ctx, "SELECT SUM(x) FROM big"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.Query(ctx, "SELECT SUM(x) FROM big", aqp.QueryOptions{Mode: "exact"}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("exact err = %v, want DeadlineExceeded", err)
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel2()
-	res, err := db.QueryOLAContext(ctx2, "SELECT AVG(x) FROM big", aqp.ErrorSpec{RelError: 0.0001, Confidence: 0.99})
+	res, err := db.Query(ctx2, "SELECT AVG(x) FROM big", aqp.QueryOptions{Mode: "ola", Spec: aqp.ErrorSpec{RelError: 0.0001, Confidence: 0.99}})
 	if err != nil {
 		t.Fatalf("ola err = %v, want partial result", err)
 	}

@@ -2,6 +2,7 @@ package aqp
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func demoDB(t *testing.T) *DB {
 
 func TestQueryExact(t *testing.T) {
 	db := demoDB(t)
-	res, err := db.Query("SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM sales GROUP BY region ORDER BY region")
+	res, err := db.Query(context.Background(), "SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM sales GROUP BY region ORDER BY region", QueryOptions{Mode: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestQueryApproxRoutesToExactForSmallTables(t *testing.T) {
 	db := demoDB(t)
 	// 300 rows is far below the online sampling threshold, so even the
 	// advisor's online choice falls back to exact execution.
-	res, err := db.QueryApprox("SELECT SUM(amount) FROM sales")
+	res, err := db.Query(context.Background(), "SELECT SUM(amount) FROM sales", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestQueryApproxWithClause(t *testing.T) {
 	}
 	cfg := OnlineConfig{DefaultRate: 0.05, MinTableRows: 1000, DistinctKeep: 30, Seed: 1}
 	db := Open(ev.Catalog, WithOnlineConfig(cfg))
-	res, err := db.QueryApprox("SELECT COUNT(*) AS n FROM events WITH ERROR 10% CONFIDENCE 90%")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) AS n FROM events WITH ERROR 10% CONFIDENCE 90%", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestOfflinePipelineThroughFacade(t *testing.T) {
 	if err := db.ProfileOffline(sql); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryOffline(sql, ErrorSpec{RelError: 0.5, Confidence: 0.9})
+	res, err := db.Query(context.Background(), sql, QueryOptions{Mode: "offline", Spec: ErrorSpec{RelError: 0.5, Confidence: 0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,10 @@ func TestProgressiveThroughFacade(t *testing.T) {
 	}
 	db := Open(ev.Catalog, WithOLAConfig(OLAConfig{ChunkRows: 3000, MaxFraction: 1, Seed: 4}))
 	checkpoints := 0
-	_, err = db.QueryProgressive("SELECT AVG(ev_value) AS m FROM events", DefaultErrorSpec,
-		func(p Progress) bool {
-			checkpoints++
-			return checkpoints < 4
-		})
+	_, err = db.Query(context.Background(), "SELECT AVG(ev_value) AS m FROM events", QueryOptions{Mode: "ola", Spec: DefaultErrorSpec, Progress: func(p Progress) bool {
+		checkpoints++
+		return checkpoints < 4
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +138,11 @@ func TestProgressiveThroughFacade(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	db := demoDB(t)
-	out, err := db.Explain("SELECT region, SUM(amount) FROM sales WHERE qty > 2 GROUP BY region")
+	res, err := db.Query(context.Background(), "EXPLAIN SELECT region, SUM(amount) FROM sales WHERE qty > 2 GROUP BY region", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := resultText(res)
 	for _, want := range []string{"HashAggregate", "Scan sales", "filter="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
@@ -162,7 +163,7 @@ func TestLoadCSVAndDump(t *testing.T) {
 	if tbl.NumRows() != 3 {
 		t.Fatalf("rows = %d", tbl.NumRows())
 	}
-	res, err := db.Query("SELECT COUNT(*) AS n, SUM(score) AS s FROM people")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) AS n, SUM(score) AS s FROM people", QueryOptions{Mode: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestLoadCSVErrors(t *testing.T) {
 
 func TestFormatResult(t *testing.T) {
 	db := demoDB(t)
-	res, err := db.Query("SELECT COUNT(*) AS n FROM sales")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) AS n FROM sales", QueryOptions{Mode: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}

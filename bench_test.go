@@ -7,6 +7,7 @@ package aqp
 // `go run ./cmd/aqpbench` for the full-size tables.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -131,7 +132,7 @@ func BenchmarkScanSum(b *testing.B) {
 	p := mustPlan(b, star.Catalog, "SELECT SUM(l_extendedprice) FROM lineitem")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(p); err != nil {
+		if _, err := exec.RunContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +146,7 @@ func BenchmarkScanFiltered(b *testing.B) {
 		"SELECT SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 10 AND l_discount > 0.02")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(p); err != nil {
+		if _, err := exec.RunContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +159,7 @@ func BenchmarkHashJoin(b *testing.B) {
 		"SELECT COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(p); err != nil {
+		if _, err := exec.RunContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,7 +173,7 @@ func BenchmarkHashAggregate(b *testing.B) {
 		 FROM lineitem GROUP BY l_returnflag, l_linestatus`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(p); err != nil {
+		if _, err := exec.RunContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +188,7 @@ func BenchmarkBlockSampledScan(b *testing.B) {
 				"SELECT SUM(l_extendedprice) FROM lineitem TABLESAMPLE SYSTEM (%d)", ratePct))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Run(p); err != nil {
+				if _, err := exec.RunContext(context.Background(), p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -200,13 +200,13 @@ func runProfile(rows int, seed int64, workers int) error {
 
 	fmt.Printf("-- %s\n\n", sql)
 	pctx, prof := aqp.WithProfile(ctx)
-	if _, err := db.QueryContext(pctx, sql); err != nil {
+	if _, err := db.Query(pctx, sql, aqp.QueryOptions{Mode: "exact"}); err != nil {
 		return err
 	}
 	fmt.Printf("exact:\n%s\n", prof.String())
 
 	pctx, prof = aqp.WithProfile(ctx)
-	res, err := db.QueryApproxContext(pctx, sql+" WITH ERROR 5% CONFIDENCE 95%")
+	res, err := db.Query(pctx, sql+" WITH ERROR 5% CONFIDENCE 95%", aqp.QueryOptions{})
 	if err != nil {
 		return err
 	}
@@ -241,11 +241,15 @@ func runAuditSmoke(rows int, seed int64) error {
 	for i := 0; i < queries; i++ {
 		sql := fmt.Sprintf("SELECT SUM(ev_value) FROM events WHERE ev_ts >= %d AND ev_ts < %d",
 			i*window, (i+1)*window)
-		res, err := db.QueryOnline(sql, spec)
+		stmt, err := aqp.Parse(sql)
+		if err != nil {
+			return err
+		}
+		res, err := db.QueryStmt(context.Background(), stmt, aqp.QueryOptions{Mode: "online", Spec: spec})
 		if err != nil {
 			return fmt.Errorf("serve %q: %w", sql, err)
 		}
-		aud.Offer(res, sql)
+		aud.Offer(res, stmt)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -661,13 +665,13 @@ func runShardSweep(rows, trials int, seed int64, workers int, jsonOut bool, outD
 		spec := aqp.ErrorSpec{RelError: 0.5, Confidence: 0.95}
 		for trial := 0; trial < trials; trial++ {
 			start := time.Now()
-			if _, err := db.QueryContext(ctx, sql); err != nil {
+			if _, err := db.Query(ctx, sql, aqp.QueryOptions{Mode: "exact"}); err != nil {
 				return fmt.Errorf("shards=%d exact: %w", n, err)
 			}
 			exactLat = append(exactLat, time.Since(start))
 
 			start = time.Now()
-			res, err := db.QueryOnlineContext(ctx, sql, spec)
+			res, err := db.Query(ctx, sql, aqp.QueryOptions{Mode: "online", Spec: spec})
 			if err != nil {
 				return fmt.Errorf("shards=%d online: %w", n, err)
 			}
@@ -729,7 +733,7 @@ func runContractSweep(rows, trials int, seed int64, workers int, jsonOut bool, o
 	if err != nil {
 		return err
 	}
-	truthRes, err := aqp.Open(ev.Catalog).QueryContext(ctx, sql)
+	truthRes, err := aqp.Open(ev.Catalog).Query(ctx, sql, aqp.QueryOptions{Mode: "exact"})
 	if err != nil {
 		return fmt.Errorf("ground truth: %w", err)
 	}
@@ -748,6 +752,7 @@ func runContractSweep(rows, trials int, seed int64, workers int, jsonOut bool, o
 	}
 
 	engines := []aqp.Technique{aqp.TechniqueOnline, aqp.TechniqueOLA, aqp.TechniqueOffline}
+	modes := map[aqp.Technique]string{aqp.TechniqueOnline: "online", aqp.TechniqueOLA: "ola", aqp.TechniqueOffline: "offline"}
 	targets := []float64{0.01, 0.02, 0.05}
 	failed := false
 	for _, tech := range engines {
@@ -761,7 +766,7 @@ func runContractSweep(rows, trials int, seed int64, workers int, jsonOut bool, o
 					aqp.WithOnlineConfig(core.OnlineConfig{DefaultRate: 0.5, MinTableRows: 1, Seed: tseed}),
 					aqp.WithOLAConfig(core.OLAConfig{Seed: tseed}),
 					aqp.WithOfflineConfig(core.OfflineConfig{Seed: tseed}))
-				res, err := db.QueryContractOnContext(ctx, tech, sql, spec)
+				res, err := db.Query(ctx, sql, aqp.QueryOptions{Mode: modes[tech], Contract: true, Spec: spec})
 				if err != nil {
 					return fmt.Errorf("%s target=%g trial=%d: %w", tech, target, trial, err)
 				}

@@ -13,8 +13,8 @@
 //	\online <sql>               force query-time sampling
 //	\offline <sql>              force offline samples
 //	\ola <sql>                  force online aggregation (progressive)
-//	\contract [engine] <sql>    a-priori contract: pilot-sized two-stage run
-//	                            (engine: online, ola, or offline; default online)
+//	\contract [mode] <sql>      a-priori contract: pilot-sized two-stage run
+//	                            (mode: auto, online, ola, or offline; default online)
 //	\prep <table> <col,col...>  build offline samples on a QCS
 //	\profile <sql>              profile a query shape for offline certification
 //	\synopsis <table> <col>     build histogram/HLL/CMS synopses
@@ -101,15 +101,26 @@ func (sh *shell) initTelemetry() {
 	sh.tstore.Snap() // baseline edge for the first \slo
 }
 
+// query parses sql once and runs the statement under opts. The
+// statement is nil when the SQL does not parse.
+func (sh *shell) query(ctx context.Context, sql string, opts aqp.QueryOptions) (*aqp.Statement, *aqp.Result, error) {
+	stmt, err := aqp.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sh.db.QueryStmt(ctx, stmt, opts)
+	return stmt, res, err
+}
+
 // record files one executed statement with the session metrics and the
 // flight recorder, so \slo and \flight observe shell work the same way
 // aqpd observes served queries.
-func (sh *shell) record(sql string, res *aqp.Result, err error, start time.Time) {
+func (sh *shell) record(sql string, stmt *aqp.Statement, res *aqp.Result, err error, start time.Time) {
 	latencyMS := float64(time.Since(start).Microseconds()) / 1e3
 	if err != nil {
 		sh.met.Inc("queries_errors_total")
 		sh.met.Inc("queries_total")
-		fp := sh.insight.Offer(sql, insight.Observation{LatencyMS: latencyMS, Err: true})
+		fp := sh.insight.ObserveStmt(stmt, insight.Observation{LatencyMS: latencyMS, Err: true})
 		sh.flight.Record(telemetry.QueryRecord{
 			Start: start, SQL: sql, Status: 500, Err: err.Error(), LatencyMS: latencyMS,
 			Fingerprint: fp,
@@ -134,7 +145,7 @@ func (sh *shell) record(sql string, res *aqp.Result, err error, start time.Time)
 	if c := res.Diagnostics.Contract; c != nil {
 		obs.ContractVerdict = string(c.Verdict)
 	}
-	sh.insight.Offer(sql, obs)
+	sh.insight.ObserveStmt(stmt, obs)
 	qr := telemetry.QueryRecord{
 		Start: start, SQL: sql, Technique: tech, Status: 200,
 		LatencyMS:   latencyMS,
@@ -190,8 +201,8 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		res, err := sh.db.QueryApprox(line)
-		sh.record(line, res, err, start)
+		stmt, res, err := sh.query(context.Background(), line, aqp.QueryOptions{})
+		sh.record(line, stmt, res, err, start)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue
@@ -200,13 +211,14 @@ func main() {
 		for _, m := range res.Diagnostics.Messages {
 			fmt.Println("  ·", m)
 		}
-		sh.aud.Offer(res, line)
+		sh.aud.Offer(res, stmt)
 	}
 }
 
 // meta handles backslash commands; returns true to quit.
 func meta(sh *shell, line string) bool {
 	db := sh.db
+	ctx := context.Background()
 	fields := strings.Fields(line)
 	cmd := fields[0]
 	rest := strings.TrimSpace(strings.TrimPrefix(line, cmd))
@@ -269,17 +281,19 @@ func meta(sh *shell, line string) bool {
 			fmt.Println("unknown dataset:", fields[1])
 		}
 	case "\\explain":
-		out, err := db.Explain(rest)
+		res, err := db.Query(ctx, "EXPLAIN "+rest, aqp.QueryOptions{})
 		if err != nil {
 			fmt.Println("error:", err)
 			return false
 		}
-		fmt.Print(out)
+		for _, row := range res.Rows {
+			fmt.Println(row[0].S)
+		}
 	case "\\analyze":
 		// Execute through the advisor under a tracer and print the raw
 		// span tree: per-operator timings, rows in/out, worker morsels.
-		ctx, prof := aqp.WithProfile(context.Background())
-		res, err := db.QueryApproxContext(ctx, rest)
+		ctx, prof := aqp.WithProfile(ctx)
+		res, err := db.Query(ctx, rest, aqp.QueryOptions{})
 		if err != nil {
 			fmt.Println("error:", err)
 			return false
@@ -300,46 +314,29 @@ func meta(sh *shell, line string) bool {
 			return false
 		}
 		fmt.Printf("technique=%s guarantee=%s reason=%s\n", d.Technique, d.Guarantee, d.Reason)
-	case "\\exact":
-		res, err := db.Query(rest)
-		sh.show(rest, res, err)
-	case "\\online":
-		res, err := db.QueryOnline(rest, aqp.DefaultErrorSpec)
-		sh.show(rest, res, err)
-	case "\\offline":
-		res, err := db.QueryOffline(rest, aqp.DefaultErrorSpec)
-		sh.show(rest, res, err)
+	case "\\exact", "\\online", "\\offline":
+		sh.show(rest, aqp.QueryOptions{Mode: cmd[1:]})
 	case "\\ola":
-		res, err := db.QueryProgressive(rest, aqp.DefaultErrorSpec, func(p aqp.Progress) bool {
+		sh.show(rest, aqp.QueryOptions{Mode: "ola", Progress: func(p aqp.Progress) bool {
 			fmt.Printf("  %5.1f%% read, current max CI half-width %.4f\n",
 				p.Fraction*100, p.Result.MaxRelHalfWidth())
 			return true
-		})
-		sh.show(rest, res, err)
+		}})
 	case "\\contract":
 		// Pilot-sized two-stage execution: FormatResult appends the
 		// contract footer (verdict, sized fractions, pilot/final rows).
-		tech := aqp.TechniqueOnline
+		opts := aqp.QueryOptions{Mode: "online", Contract: true}
 		sql := rest
-		if len(fields) > 1 {
-			switch fields[1] {
-			case "online", "ola", "offline":
-				if fields[1] == "ola" {
-					tech = aqp.TechniqueOLA
-				} else if fields[1] == "offline" {
-					tech = aqp.TechniqueOffline
-				}
-				sql = strings.TrimSpace(strings.TrimPrefix(rest, fields[1]))
-			}
+		if len(fields) > 1 && aqp.CheckMode(fields[1], true) == nil {
+			opts.Mode = fields[1]
+			sql = strings.TrimSpace(strings.TrimPrefix(rest, fields[1]))
 		}
-		if strings.TrimSpace(sql) == "" {
-			fmt.Println("usage: \\contract [online|ola|offline] <sql WITH ERROR e% CONFIDENCE c%>")
+		if sql == "" {
+			fmt.Println("usage: \\contract [auto|online|ola|offline] <sql WITH ERROR e% CONFIDENCE c%>")
 			return false
 		}
-		res, err := db.QueryContractOn(tech, sql)
-		sh.show(sql, res, err)
-		if err == nil {
-			sh.aud.Offer(res, sql)
+		if stmt, res := sh.show(sql, opts); res != nil {
+			sh.aud.Offer(res, stmt)
 		}
 	case "\\prep":
 		if len(fields) < 3 {
@@ -583,23 +580,26 @@ func meta(sh *shell, line string) bool {
 	return false
 }
 
-// show records the statement with the session telemetry and prints the
-// result (or error). The result's own measured latency stands in for a
-// wall clock started before execution.
-func (sh *shell) show(sql string, res *aqp.Result, err error) {
+// show runs sql under opts, records the statement with the session
+// telemetry and prints the result (or error), returning the statement
+// and result (nil on error). The result's own measured latency stands in
+// for a wall clock started before execution.
+func (sh *shell) show(sql string, opts aqp.QueryOptions) (*aqp.Statement, *aqp.Result) {
+	stmt, res, err := sh.query(context.Background(), sql, opts)
 	start := time.Now()
 	if res != nil {
 		start = start.Add(-res.Diagnostics.Latency)
 	}
-	sh.record(sql, res, err, start)
+	sh.record(sql, stmt, res, err, start)
 	if err != nil {
 		fmt.Println("error:", err)
-		return
+		return nil, nil
 	}
 	fmt.Print(aqp.FormatResult(res))
 	for _, m := range res.Diagnostics.Messages {
 		fmt.Println("  ·", m)
 	}
+	return stmt, res
 }
 
 // plural picks the singular or plural suffix for n.

@@ -1,6 +1,7 @@
 package aqp_test
 
 import (
+	"context"
 	"fmt"
 
 	aqp "repro"
@@ -17,7 +18,7 @@ func ExampleDB_Query() {
 	_ = tbl.AppendRow(aqp.Str("open"), aqp.Float64(20))
 	_ = tbl.AppendRow(aqp.Str("done"), aqp.Float64(5))
 
-	res, _ := db.Query("SELECT status, COUNT(*) AS n, SUM(total) AS t FROM orders GROUP BY status ORDER BY status")
+	res, _ := db.Query(context.Background(), "SELECT status, COUNT(*) AS n, SUM(total) AS t FROM orders GROUP BY status ORDER BY status", aqp.QueryOptions{Mode: "exact"})
 	for i := 0; i < res.NumRows(); i++ {
 		fmt.Printf("%s n=%v t=%v\n", res.Rows[i][0], res.Rows[i][1], res.Rows[i][2])
 	}
@@ -41,15 +42,15 @@ func ExampleDB_Advise() {
 	// exact
 }
 
-// ExampleDB_QueryAsWritten shows manual sampler control via TABLESAMPLE.
-func ExampleDB_QueryAsWritten() {
+// ExampleDB_Query_asWritten shows manual sampler control via TABLESAMPLE.
+func ExampleDB_Query_asWritten() {
 	db := aqp.New()
 	tbl, _ := db.CreateTable("big", aqp.Schema{{Name: "v", Type: aqp.TypeFloat64}})
 	for i := 0; i < 10000; i++ {
 		_ = tbl.AppendRow(aqp.Float64(1))
 	}
 	// TABLESAMPLE BERNOULLI(100) keeps everything at weight 1: exact sum.
-	res, _ := db.QueryAsWritten("SELECT SUM(v) FROM big TABLESAMPLE BERNOULLI (100)")
+	res, _ := db.Query(context.Background(), "SELECT SUM(v) FROM big TABLESAMPLE BERNOULLI (100)", aqp.QueryOptions{Mode: "as-written"})
 	fmt.Println(res.Rows[0][0])
 	// Output:
 	// 10000

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,8 @@ func main() {
 
 	const q = "SELECT ev_group, COUNT(*) AS hits, SUM(ev_value) AS load FROM events GROUP BY ev_group"
 
-	exact, err := db.Query(q)
+	ctx := context.Background()
+	exact, err := db.Query(ctx, q, aqp.QueryOptions{Mode: "exact"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,8 +34,9 @@ func main() {
 		exact.NumRows(), exact.Diagnostics.Counters.RowsScanned, exact.Diagnostics.Latency.Round(1000))
 
 	// Naive uniform sampling at 0.5% — watch the tail groups disappear.
-	uniform, err := db.QueryAsWritten(
-		"SELECT ev_group, COUNT(*) AS hits, SUM(ev_value) AS load FROM events TABLESAMPLE BERNOULLI (0.5) GROUP BY ev_group")
+	uniform, err := db.Query(ctx,
+		"SELECT ev_group, COUNT(*) AS hits, SUM(ev_value) AS load FROM events TABLESAMPLE BERNOULLI (0.5) GROUP BY ev_group",
+		aqp.QueryOptions{Mode: "as-written"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func main() {
 		uniform.NumRows(), exact.NumRows()-uniform.NumRows())
 
 	// The online engine's distinct sampler keeps them all.
-	approx, err := db.QueryOnline(q, aqp.ErrorSpec{RelError: 0.1, Confidence: 0.95})
+	approx, err := db.Query(ctx, q, aqp.QueryOptions{Mode: "online", Spec: aqp.ErrorSpec{RelError: 0.1, Confidence: 0.95}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,12 +40,13 @@ func main() {
 	m := db.OfflineEngine().Maintenance
 	fmt.Printf("precompute: %d samples, %d rows scanned\n", m.SamplesBuilt, m.RowsScanned)
 
+	ctx := context.Background()
 	run := func(label string) {
-		res, err := db.QueryOffline(q, spec)
+		res, err := db.Query(ctx, q, aqp.QueryOptions{Mode: "offline", Spec: spec})
 		if err != nil {
 			log.Fatal(err)
 		}
-		exact, err := db.Query(q)
+		exact, err := db.Query(ctx, q, aqp.QueryOptions{Mode: "exact"})
 		if err != nil {
 			log.Fatal(err)
 		}

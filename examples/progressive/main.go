@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -30,7 +31,8 @@ func main() {
 		FROM lineitem JOIN orders ON l_orderkey = o_orderkey
 		GROUP BY o_orderpriority`
 
-	exact, err := db.Query(q)
+	ctx := context.Background()
+	exact, err := db.Query(ctx, q, aqp.QueryOptions{Mode: "exact"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,14 +40,17 @@ func main() {
 		exact.Diagnostics.Latency.Round(1_000_000))
 
 	fmt.Printf("%-9s %-12s %s\n", "read", "max CI ±", "revenue by priority (1-URGENT shown with interval)")
-	res, err := db.QueryProgressive(q, aqp.ErrorSpec{RelError: 0.02, Confidence: 0.95},
-		func(p aqp.Progress) bool {
+	res, err := db.Query(ctx, q, aqp.QueryOptions{
+		Mode: "ola",
+		Spec: aqp.ErrorSpec{RelError: 0.02, Confidence: 0.95},
+		Progress: func(p aqp.Progress) bool {
 			it := p.Result.Items[0][1] // first group's revenue
 			bar := strings.Repeat("#", int(p.Fraction*30))
 			fmt.Printf("%7.1f%%  ±%6.2f%%    %-30s %.4g\n",
 				p.Fraction*100, p.Result.MaxRelHalfWidth()*100, bar, it.Value.AsFloat())
 			return true // keep streaming; the engine stops when the spec is met
-		})
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

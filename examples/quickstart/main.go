@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,7 +36,9 @@ func main() {
 	}
 
 	// Exact execution.
-	exact, err := db.Query("SELECT sensor, COUNT(*) AS n, AVG(temp) AS avg_temp FROM measurements GROUP BY sensor ORDER BY sensor")
+	ctx := context.Background()
+	exact, err := db.Query(ctx, "SELECT sensor, COUNT(*) AS n, AVG(temp) AS avg_temp FROM measurements GROUP BY sensor ORDER BY sensor",
+		aqp.QueryOptions{Mode: "exact"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +46,10 @@ func main() {
 	fmt.Print(aqp.FormatResult(exact))
 
 	// Approximate execution with an error contract in the SQL itself.
-	approx, err := db.QueryApprox(
-		"SELECT sensor, COUNT(*) AS n, AVG(temp) AS avg_temp FROM measurements GROUP BY sensor ORDER BY sensor WITH ERROR 5% CONFIDENCE 95%")
+	// The zero QueryOptions routes through the advisor.
+	approx, err := db.Query(ctx,
+		"SELECT sensor, COUNT(*) AS n, AVG(temp) AS avg_temp FROM measurements GROUP BY sensor ORDER BY sensor WITH ERROR 5% CONFIDENCE 95%",
+		aqp.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

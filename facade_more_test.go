@@ -2,6 +2,7 @@ package aqp
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestQueryAsWritten(t *testing.T) {
 	}
 	db := Open(ev.Catalog)
 	// Sampled as written: approximate with CIs.
-	res, err := db.QueryAsWritten("SELECT COUNT(*) AS n FROM events TABLESAMPLE BERNOULLI (10)")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) AS n FROM events TABLESAMPLE BERNOULLI (10)", QueryOptions{Mode: "as-written"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestQueryAsWritten(t *testing.T) {
 		t.Error("sampled as-written query must carry a CI")
 	}
 	// Unsampled as written: exact.
-	res, err = db.QueryAsWritten("SELECT COUNT(*) FROM events")
+	res, err = db.Query(context.Background(), "SELECT COUNT(*) FROM events", QueryOptions{Mode: "as-written"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestQueryAsWritten(t *testing.T) {
 		t.Errorf("unsampled as-written should be exact: %v %v", res.Guarantee, res.Float(0, 0))
 	}
 	// Spec from the SQL clause.
-	res, err = db.QueryAsWritten("SELECT COUNT(*) FROM events TABLESAMPLE BERNOULLI (10) WITH ERROR 20% CONFIDENCE 90%")
+	res, err = db.Query(context.Background(), "SELECT COUNT(*) FROM events TABLESAMPLE BERNOULLI (10) WITH ERROR 20% CONFIDENCE 90%", QueryOptions{Mode: "as-written"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestQueryOLAViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := Open(ev.Catalog)
-	res, err := db.QueryOLA("SELECT AVG(ev_value) AS m FROM events", ErrorSpec{RelError: 0.2, Confidence: 0.9})
+	res, err := db.Query(context.Background(), "SELECT AVG(ev_value) AS m FROM events", QueryOptions{Mode: "ola", Spec: ErrorSpec{RelError: 0.2, Confidence: 0.9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestQueryOnlineViaFacade(t *testing.T) {
 	}
 	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{
 		DefaultRate: 0.05, MinTableRows: 1000, DistinctKeep: 10, Seed: 1}))
-	res, err := db.QueryOnline("SELECT SUM(ev_value) FROM events", DefaultErrorSpec)
+	res, err := db.Query(context.Background(), "SELECT SUM(ev_value) FROM events", QueryOptions{Mode: "online", Spec: DefaultErrorSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestBuildSynopsisAndRebuildViaFacade(t *testing.T) {
 	if err := db.BuildSynopsis("events", "ev_user"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.QueryApprox("SELECT COUNT(DISTINCT ev_user) FROM events")
+	res, err := db.Query(context.Background(), "SELECT COUNT(DISTINCT ev_user) FROM events", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,23 +112,6 @@ func TestBuildSynopsisAndRebuildViaFacade(t *testing.T) {
 
 // aqpWithOffline mirrors WithOfflineConfig for test readability.
 func aqpWithOffline(cfg OfflineConfig) Option { return WithOfflineConfig(cfg) }
-
-func TestExecEscapeHatch(t *testing.T) {
-	db := demoDB(t)
-	raw, err := db.Exec("SELECT region FROM sales TABLESAMPLE BERNOULLI (50)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Weights == nil {
-		t.Error("raw exec must expose weights")
-	}
-	if raw.Counters.RowsScanned != 300 {
-		t.Errorf("counters = %+v", raw.Counters)
-	}
-	if _, err := db.Exec("SELECT nope FROM sales"); err == nil {
-		t.Error("bad SQL must error")
-	}
-}
 
 func TestDumpTableCSV(t *testing.T) {
 	db := New()
@@ -158,7 +142,7 @@ func TestFormatResultWithCI(t *testing.T) {
 	}
 	db := Open(ev.Catalog, WithOnlineConfig(OnlineConfig{
 		DefaultRate: 0.05, MinTableRows: 1000, DistinctKeep: 10, Seed: 1}))
-	res, err := db.QueryOnline("SELECT SUM(ev_value) AS s FROM events", DefaultErrorSpec)
+	res, err := db.Query(context.Background(), "SELECT SUM(ev_value) AS s FROM events", QueryOptions{Mode: "online", Spec: DefaultErrorSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +158,36 @@ func TestFormatResultWithCI(t *testing.T) {
 func TestFacadeErrorPaths(t *testing.T) {
 	db := New()
 	for _, call := range []func() error{
-		func() error { _, err := db.Query("SELECT"); return err },
-		func() error { _, err := db.QueryApprox("garbage"); return err },
-		func() error { _, err := db.QueryOnline("x", DefaultErrorSpec); return err },
-		func() error { _, err := db.QueryOffline("x", DefaultErrorSpec); return err },
-		func() error { _, err := db.QueryOLA("x", DefaultErrorSpec); return err },
-		func() error { _, err := db.QueryAsWritten("x"); return err },
-		func() error { _, err := db.Explain("x"); return err },
+		func() error {
+			_, err := db.Query(context.Background(), "SELECT", QueryOptions{Mode: "exact"})
+			return err
+		},
+		func() error { _, err := db.Query(context.Background(), "garbage", QueryOptions{}); return err },
+		func() error {
+			_, err := db.Query(context.Background(), "x", QueryOptions{Mode: "online", Spec: DefaultErrorSpec})
+			return err
+		},
+		func() error {
+			_, err := db.Query(context.Background(), "x", QueryOptions{Mode: "offline", Spec: DefaultErrorSpec})
+			return err
+		},
+		func() error {
+			_, err := db.Query(context.Background(), "x", QueryOptions{Mode: "ola", Spec: DefaultErrorSpec})
+			return err
+		},
+		func() error {
+			_, err := db.Query(context.Background(), "x", QueryOptions{Mode: "as-written"})
+			return err
+		},
+		func() error {
+			_, err := db.Query(context.Background(), "EXPLAIN x", QueryOptions{})
+			return err
+		},
 		func() error { _, err := db.Advise("x"); return err },
-		func() error { _, err := db.QueryProgressive("x", DefaultErrorSpec, nil); return err },
+		func() error {
+			_, err := db.Query(context.Background(), "x", QueryOptions{Mode: "ola", Spec: DefaultErrorSpec})
+			return err
+		},
 	} {
 		if call() == nil {
 			t.Error("malformed SQL must error")

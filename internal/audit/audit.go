@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	aqp "repro"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sqlparse"
@@ -38,9 +39,10 @@ import (
 // injectGroundTruth fires at each background ground-truth re-execution.
 var injectGroundTruth = fault.NewPoint("audit.groundtruth", "auditor ground-truth re-execution")
 
-// Executor re-executes a query exactly; *aqp.DB satisfies it.
+// Executor re-executes a served statement in mode exact; *aqp.DB
+// satisfies it.
 type Executor interface {
-	QueryContext(ctx context.Context, sql string) (*core.Result, error)
+	QueryStmt(ctx context.Context, stmt *sqlparse.SelectStmt, opts aqp.QueryOptions) (*core.Result, error)
 }
 
 // Gate grants low-priority capacity. TryAcquireIdle must not block: it
@@ -152,6 +154,7 @@ func (c Config) withDefaults() Config {
 // job is one pending audit: everything captured at serve time. The
 // claimed result is immutable after serving, so it is held by reference.
 type job struct {
+	stmt      *sqlparse.SelectStmt
 	canonical string
 	technique string
 	claimed   *core.Result
@@ -281,17 +284,18 @@ func (a *Auditor) Drain(ctx context.Context) error {
 	}
 }
 
-// Offer submits one served result for consideration. It is cheap and
-// non-blocking: parse + hash + enqueue at worst, and must be called on
-// the serving path after the response is sent (or immediately before —
-// it never mutates res). Results that are exact or carry no CI are not
-// eligible. The decision to audit is made here, deterministically, with
-// no reference to the estimate's value — see the package comment.
-func (a *Auditor) Offer(res *core.Result, sql string) {
+// Offer submits one served result, with the statement that produced it,
+// for consideration. It is cheap and non-blocking: render + hash +
+// enqueue at worst, and must be called on the serving path after the
+// response is sent (or immediately before — it never mutates res).
+// Results that are exact or carry no CI are not eligible. The decision
+// to audit is made here, deterministically, with no reference to the
+// estimate's value — see the package comment.
+func (a *Auditor) Offer(res *core.Result, stmt *sqlparse.SelectStmt) {
 	if a == nil || a.cfg.Fraction <= 0 || res == nil {
 		return
 	}
-	// Offer runs on the serving path: a panic here (parse, hashing,
+	// Offer runs on the serving path: a panic here (rendering, hashing,
 	// bookkeeping) must cost the audit opportunity, not the response.
 	defer func() {
 		if r := recover(); r != nil {
@@ -300,10 +304,6 @@ func (a *Auditor) Offer(res *core.Result, sql string) {
 	}()
 	if res.Guarantee == core.GuaranteeExact || !hasCI(res) {
 		return
-	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return // served SQL always parses; belt and braces
 	}
 	canonical := stmt.String()
 	tech := string(res.Technique)
@@ -330,6 +330,7 @@ func (a *Auditor) Offer(res *core.Result, sql string) {
 	}
 	a.sampled++
 	j := &job{
+		stmt:      stmt,
 		canonical: canonical,
 		technique: tech,
 		claimed:   res,
@@ -525,7 +526,7 @@ func (a *Auditor) waitIdle() (release func(), ok bool) {
 	}
 }
 
-// groundTruth re-executes the canonical SQL exactly under a span-traced
+// groundTruth re-executes the served statement exactly under a span-traced
 // context and bounded deadline.
 func (a *Auditor) groundTruth(j *job) (*core.Result, error) {
 	if err := injectGroundTruth.Inject(); err != nil {
@@ -536,7 +537,7 @@ func (a *Auditor) groundTruth(j *job) (*core.Result, error) {
 	tr := trace.New("audit " + j.technique)
 	ctx = trace.WithTracer(ctx, tr)
 	sp, ctx := trace.StartSpan(ctx, "ground-truth")
-	truth, err := a.exec.QueryContext(ctx, j.canonical)
+	truth, err := a.exec.QueryStmt(ctx, j.stmt, aqp.QueryOptions{Mode: "exact"})
 	sp.End()
 	tr.Finish()
 	a.mu.Lock()

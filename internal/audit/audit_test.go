@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	aqp "repro"
 	"repro/internal/core"
+	"repro/internal/sqlparse"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -21,7 +23,7 @@ type fakeExec struct {
 	err   error
 }
 
-func (f *fakeExec) QueryContext(_ context.Context, _ string) (*core.Result, error) {
+func (f *fakeExec) QueryStmt(context.Context, *sqlparse.SelectStmt, aqp.QueryOptions) (*core.Result, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls++
@@ -60,6 +62,15 @@ func claimed(est, lo, hi float64, buildRows int) *core.Result {
 }
 
 // distinctSQL yields parseable, canonically distinct audit candidates.
+// mustParse parses one served statement.
+func mustParse(sql string) *sqlparse.SelectStmt {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		panic(err)
+	}
+	return stmt
+}
+
 func distinctSQL(i int) string {
 	return fmt.Sprintf("SELECT SUM(ev_value) FROM events WHERE ev_ts >= %d AND ev_ts < %d",
 		i*10, i*10+10)
@@ -105,13 +116,13 @@ func TestOfferEligibility(t *testing.T) {
 	a := New(exec, nil, Config{Fraction: 1})
 	defer a.Close()
 
-	a.Offer(nil, "SELECT SUM(ev_value) FROM events")
+	a.Offer(nil, mustParse("SELECT SUM(ev_value) FROM events"))
 	exact := claimed(100, 0, 0, 1000)
 	exact.Guarantee = core.GuaranteeExact
-	a.Offer(exact, "SELECT SUM(ev_value) FROM events")
+	a.Offer(exact, mustParse("SELECT SUM(ev_value) FROM events"))
 	noCI := claimed(100, 0, 0, 1000)
 	noCI.Items[0][0].HasCI = false
-	a.Offer(noCI, "SELECT SUM(ev_value) FROM events")
+	a.Offer(noCI, mustParse("SELECT SUM(ev_value) FROM events"))
 
 	drain(t, a)
 	if r := a.Report(); r.Offered != 0 || r.Audited != 0 {
@@ -121,7 +132,7 @@ func TestOfferEligibility(t *testing.T) {
 	// Fraction 0 disables even eligible results.
 	off := New(exec, nil, Config{Fraction: 0})
 	defer off.Close()
-	off.Offer(claimed(100, 90, 110, 1000), "SELECT SUM(ev_value) FROM events")
+	off.Offer(claimed(100, 90, 110, 1000), mustParse("SELECT SUM(ev_value) FROM events"))
 	if r := off.Report(); r.Offered != 0 || r.Enabled {
 		t.Fatalf("disabled auditor accepted work: %+v", r)
 	}
@@ -135,11 +146,11 @@ func TestCoverageAndDedup(t *testing.T) {
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		a.Offer(claimed(98, 90, 110, 1000), distinctSQL(i))
+		a.Offer(claimed(98, 90, 110, 1000), mustParse(distinctSQL(i)))
 	}
 	// Re-offer the same statements: all must dedup, not re-audit.
 	for i := 0; i < n; i++ {
-		a.Offer(claimed(98, 90, 110, 1000), distinctSQL(i))
+		a.Offer(claimed(98, 90, 110, 1000), mustParse(distinctSQL(i)))
 	}
 	drain(t, a)
 
@@ -182,7 +193,7 @@ func TestBudgetViolationOnMisses(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		// Claimed CI [200, 210] never contains the truth 100.
-		a.Offer(claimed(205, 200, 210, 1000), distinctSQL(i))
+		a.Offer(claimed(205, 200, 210, 1000), mustParse(distinctSQL(i)))
 	}
 	drain(t, a)
 
@@ -211,7 +222,7 @@ func TestStalenessAttribution(t *testing.T) {
 	defer a.Close()
 
 	for i := 0; i < 5; i++ {
-		a.Offer(claimed(205, 200, 210, 1000), distinctSQL(i))
+		a.Offer(claimed(205, 200, 210, 1000), mustParse(distinctSQL(i)))
 	}
 	drain(t, a)
 
@@ -238,7 +249,7 @@ func TestStalenessAttribution(t *testing.T) {
 	b := New(exec2, nil, Config{Fraction: 1, StaleMinMisses: 3})
 	defer b.Close()
 	for i := 0; i < 5; i++ {
-		b.Offer(claimed(205, 200, 210, 1000), distinctSQL(i))
+		b.Offer(claimed(205, 200, 210, 1000), mustParse(distinctSQL(i)))
 	}
 	drain(t, b)
 	if rb := b.Report(); len(rb.Tables) != 1 || rb.Tables[0].Stale {
@@ -276,7 +287,7 @@ func TestQueueDropsOldestUnderBackpressure(t *testing.T) {
 
 	const offered = 12
 	for i := 0; i < offered; i++ {
-		a.Offer(claimed(98, 90, 110, 1000), distinctSQL(i))
+		a.Offer(claimed(98, 90, 110, 1000), mustParse(distinctSQL(i)))
 	}
 	// The worker can hold at most one in-flight job; the queue holds 4.
 	if bl := a.Backlog(); bl > 5 {
@@ -324,7 +335,7 @@ func TestGroundTruthErrorCounted(t *testing.T) {
 	rec := &recorder{}
 	a := New(exec, nil, Config{Fraction: 1, OnEvent: rec.hook()})
 	defer a.Close()
-	a.Offer(claimed(98, 90, 110, 1000), distinctSQL(0))
+	a.Offer(claimed(98, 90, 110, 1000), mustParse(distinctSQL(0)))
 	drain(t, a)
 	r := a.Report()
 	if r.Errors != 1 || r.Audited != 0 {
@@ -366,7 +377,7 @@ func TestGroupKeyMatchingAndUnmatched(t *testing.T) {
 	exec := &truthExec{res: truth}
 	a := New(exec, nil, Config{Fraction: 1})
 	defer a.Close()
-	a.Offer(cl, "SELECT ev_group, SUM(ev_value) FROM events GROUP BY ev_group")
+	a.Offer(cl, mustParse("SELECT ev_group, SUM(ev_value) FROM events GROUP BY ev_group"))
 	drain(t, a)
 
 	r := a.Report()
@@ -386,7 +397,7 @@ func TestGroupKeyMatchingAndUnmatched(t *testing.T) {
 // truthExec returns one canned result.
 type truthExec struct{ res *core.Result }
 
-func (e *truthExec) QueryContext(context.Context, string) (*core.Result, error) {
+func (e *truthExec) QueryStmt(context.Context, *sqlparse.SelectStmt, aqp.QueryOptions) (*core.Result, error) {
 	return e.res, nil
 }
 
@@ -421,9 +432,9 @@ func TestShardDegradedAttribution(t *testing.T) {
 	}
 	healthyMiss := claimed(10, 5, 15, 1000)
 
-	a.Offer(degradedHit, distinctSQL(0))
-	a.Offer(degradedMiss, distinctSQL(1))
-	a.Offer(healthyMiss, distinctSQL(2))
+	a.Offer(degradedHit, mustParse(distinctSQL(0)))
+	a.Offer(degradedMiss, mustParse(distinctSQL(1)))
+	a.Offer(healthyMiss, mustParse(distinctSQL(2)))
 	drain(t, a)
 
 	rep := a.Report()

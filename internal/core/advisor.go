@@ -93,24 +93,9 @@ func (a *Advisor) certifiedSample(stmt *sqlparse.SelectStmt, spec ErrorSpec) *St
 	return nil
 }
 
-// Execute parses, routes, and runs a query.
-func (a *Advisor) Execute(sql string, spec ErrorSpec) (*Result, Decision, error) {
-	return a.ExecuteContext(context.Background(), sql, spec)
-}
-
-// ExecuteContext parses, routes, and runs a query under a context: the
-// chosen engine observes cancellation and deadlines.
-func (a *Advisor) ExecuteContext(ctx context.Context, sql string, spec ErrorSpec) (*Result, Decision, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, Decision{}, err
-	}
-	return a.ExecuteStmtContext(ctx, stmt, spec)
-}
-
-// ExecuteStmtContext routes and runs an already-parsed statement. The
-// facade uses it to parse once, peel EXPLAIN handling off, and still get
-// advisor routing.
+// ExecuteStmtContext routes and runs a parsed statement under ctx: the
+// chosen engine observes cancellation and deadlines. A WITH ERROR clause
+// in the statement overrides spec.
 func (a *Advisor) ExecuteStmtContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, Decision, error) {
 	if stmt.Error != nil {
 		spec = ErrorSpec{RelError: stmt.Error.RelError, Confidence: stmt.Error.Confidence}
@@ -159,69 +144,62 @@ type TechniqueProperties struct {
 }
 
 // Matrix measures the property matrix over probe queries. Engines that
-// are nil are skipped.
+// are nil are skipped. Each probe is parsed once and the same statement
+// runs through every engine.
 func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties, error) {
+	ctx := context.TODO()
 	type engineRow struct {
-		tech    Technique
-		run     func(*sqlparse.SelectStmt) (*Result, error)
+		eng     Engine
 		preRows int64
-		mntRows int64
 	}
-	var rows []engineRow
-	rows = append(rows, engineRow{tech: TechniqueExact,
-		run: func(s *sqlparse.SelectStmt) (*Result, error) { return a.Exact.Execute(s, spec) }})
+	rows := []engineRow{{eng: a.Exact}}
 	if a.Online != nil {
-		rows = append(rows, engineRow{tech: TechniqueOnline,
-			run: func(s *sqlparse.SelectStmt) (*Result, error) { return a.Online.Execute(s, spec) }})
+		rows = append(rows, engineRow{eng: a.Online})
 	}
 	if a.Offline != nil {
-		rows = append(rows, engineRow{tech: TechniqueOffline,
-			run:     func(s *sqlparse.SelectStmt) (*Result, error) { return a.Offline.Execute(s, spec) },
-			preRows: a.Offline.Maintenance.RowsScanned})
+		rows = append(rows, engineRow{eng: a.Offline, preRows: a.Offline.Maintenance.RowsScanned})
 	}
 	if a.OLA != nil {
-		rows = append(rows, engineRow{tech: TechniqueOLA,
-			run: func(s *sqlparse.SelectStmt) (*Result, error) { return a.OLA.Execute(s, spec) }})
+		rows = append(rows, engineRow{eng: a.OLA})
 	}
 	if a.Synopsis != nil {
-		rows = append(rows, engineRow{tech: TechniqueSynopsis,
-			run: func(s *sqlparse.SelectStmt) (*Result, error) {
-				stmtRes, err := a.Synopsis.Execute(s, spec)
-				return stmtRes, err
-			},
-			preRows: a.Synopsis.BuildRows()})
+		rows = append(rows, engineRow{eng: a.Synopsis, preRows: a.Synopsis.BuildRows()})
+	}
+
+	stmts := make([]*sqlparse.SelectStmt, len(probe))
+	exact := make([]*Result, len(probe))
+	for i, sql := range probe {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			return nil, err
+		}
+		if exact[i], err = a.Exact.ExecuteContext(ctx, stmt, spec); err != nil {
+			return nil, err
+		}
+		stmts[i] = stmt
 	}
 
 	var out []TechniqueProperties
 	for _, er := range rows {
-		props := TechniqueProperties{Technique: er.tech, PrecomputeRows: er.preRows}
+		tech := er.eng.Name()
+		props := TechniqueProperties{Technique: tech, PrecomputeRows: er.preRows}
 		var supported, apriori int
 		var workSaved float64
 		var workSamples int
-		for _, sql := range probe {
-			stmt, err := sqlparse.Parse(sql)
-			if err != nil {
-				return nil, err
-			}
-			exactRes, err := a.Exact.Execute(stmt, spec)
-			if err != nil {
-				return nil, err
-			}
-			stmt2, _ := sqlparse.Parse(sql)
-			res, err := er.run(stmt2)
+		for i, stmt := range stmts {
+			res, err := er.eng.ExecuteContext(ctx, stmt, spec)
 			if err != nil || res.Diagnostics.FellBackToExact {
 				continue
 			}
-			if er.tech == TechniqueExact {
-				supported++
+			supported++
+			if tech == TechniqueExact {
 				continue
 			}
-			supported++
 			if res.Guarantee == GuaranteeAPriori {
 				apriori++
 			}
-			exactWork := float64(exactRes.Diagnostics.Counters.RowsScanned +
-				exactRes.Diagnostics.Counters.RowsEmitted)
+			exactWork := float64(exact[i].Diagnostics.Counters.RowsScanned +
+				exact[i].Diagnostics.Counters.RowsEmitted)
 			if exactWork > 0 {
 				work := float64(res.Diagnostics.Counters.RowsScanned +
 					res.Diagnostics.Counters.RowsEmitted)
@@ -239,7 +217,7 @@ func (a *Advisor) Matrix(probe []string, spec ErrorSpec) ([]TechniqueProperties,
 		if workSamples > 0 {
 			props.MeanWorkSaved = workSaved / float64(workSamples)
 		}
-		if er.tech == TechniqueOffline && a.Offline != nil {
+		if tech == TechniqueOffline {
 			props.MaintenanceRows = a.Offline.Maintenance.RowsScanned - er.preRows
 			if props.MaintenanceRows < 0 {
 				props.MaintenanceRows = 0

@@ -271,10 +271,10 @@ func (r *Result) MaxRelHalfWidth() float64 {
 type Engine interface {
 	// Name returns the engine's technique tag.
 	Name() Technique
-	// Execute runs the statement. Engines that cannot honor the request
-	// fall back gracefully (and say so in Diagnostics) rather than fail,
-	// unless the query itself is invalid.
-	Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error)
+	// ExecuteContext runs the statement under ctx. Engines that cannot
+	// honor the request fall back gracefully (and say so in Diagnostics)
+	// rather than fail, unless the query itself is invalid.
+	ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error)
 }
 
 // supportedForSampling reports whether every aggregate in the statement is

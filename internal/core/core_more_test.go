@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -97,11 +98,11 @@ func TestOLAJoinResidualPredicate(t *testing.T) {
 	// ON clause with a residual (non-equi) conjunct.
 	sql := `SELECT COUNT(*) AS n FROM lineitem
 		JOIN orders ON l_orderkey = o_orderkey AND o_totalprice > 200000`
-	res, err := e.Execute(parse(t, sql), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewExactEngine(star.Catalog).Execute(parse(t, sql), DefaultErrorSpec)
+	exact, err := NewExactEngine(star.Catalog).ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestOLAJoinWithoutEquiKeyFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewOLAEngine(star.Catalog, DefaultOLAConfig())
-	_, err = e.Execute(parse(t,
+	_, err = e.ExecuteContext(context.Background(), parse(t,
 		"SELECT COUNT(*) FROM lineitem JOIN orders ON l_quantity > o_totalprice"), DefaultErrorSpec)
 	if err == nil {
 		t.Error("non-equi OLA join must error")
@@ -126,7 +127,7 @@ func TestOLAJoinWithoutEquiKeyFails(t *testing.T) {
 func TestOLAMinAggregatesFallBack(t *testing.T) {
 	ev := smallEvents(t, 20000, 0)
 	e := NewOLAEngine(ev.Catalog, DefaultOLAConfig())
-	res, err := e.Execute(parse(t, "SELECT MIN(ev_value) FROM events"), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT MIN(ev_value) FROM events"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestOLAMinAggregatesFallBack(t *testing.T) {
 func TestExecuteAsWrittenCore(t *testing.T) {
 	ev := smallEvents(t, 20000, 0)
 	stmt := parse(t, "SELECT COUNT(*) FROM events TABLESAMPLE BERNOULLI (25)")
-	res, err := ExecuteAsWritten(ev.Catalog, stmt, DefaultErrorSpec)
+	res, err := ExecuteAsWrittenContext(context.Background(), ev.Catalog, stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestExecuteAsWrittenCore(t *testing.T) {
 		t.Errorf("fraction = %v", res.Diagnostics.SampleFraction)
 	}
 	stmt = parse(t, "SELECT COUNT(*) FROM events")
-	res, err = ExecuteAsWritten(ev.Catalog, stmt, DefaultErrorSpec)
+	res, err = ExecuteAsWrittenContext(context.Background(), ev.Catalog, stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestOfflineNoHavingSupport(t *testing.T) {
 	// even with strange shapes.
 	ev := smallEvents(t, 20000, 0)
 	e := NewOfflineEngine(ev.Catalog, DefaultOfflineConfig())
-	res, err := e.Execute(parse(t,
+	res, err := e.ExecuteContext(context.Background(), parse(t,
 		"SELECT ev_group, COUNT(*) FROM events GROUP BY ev_group HAVING COUNT(*) > 10"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestErrorSpecValid(t *testing.T) {
 func TestExactEngine(t *testing.T) {
 	ev := smallEvents(t, 5000, 0)
 	e := NewExactEngine(ev.Catalog)
-	res, err := e.Execute(parse(t, "SELECT COUNT(*) AS n, SUM(ev_value) AS s FROM events"), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT COUNT(*) AS n, SUM(ev_value) AS s FROM events"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestExactEngine(t *testing.T) {
 func TestExactStripsTablesample(t *testing.T) {
 	ev := smallEvents(t, 3000, 0)
 	e := NewExactEngine(ev.Catalog)
-	res, err := e.Execute(parse(t, "SELECT COUNT(*) FROM events TABLESAMPLE BERNOULLI (10)"), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT COUNT(*) FROM events TABLESAMPLE BERNOULLI (10)"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestOnlineEngineBasic(t *testing.T) {
 	cfg.DefaultRate = 0.05
 	cfg.MinTableRows = 1000
 	e := NewOnlineEngine(ev.Catalog, cfg)
-	res, err := e.Execute(parse(t, "SELECT COUNT(*) AS n, AVG(ev_value) AS m FROM events"), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT COUNT(*) AS n, AVG(ev_value) AS m FROM events"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +111,12 @@ func TestOnlineUsesDistinctForGroupBy(t *testing.T) {
 	cfg.DefaultRate = 0.02
 	cfg.MinTableRows = 1000
 	e := NewOnlineEngine(ev.Catalog, cfg)
-	exact, err := NewExactEngine(ev.Catalog).Execute(
+	exact, err := NewExactEngine(ev.Catalog).ExecuteContext(context.Background(),
 		parse(t, "SELECT ev_group, COUNT(*) AS n FROM events GROUP BY ev_group"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(parse(t, "SELECT ev_group, COUNT(*) AS n FROM events GROUP BY ev_group"), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT ev_group, COUNT(*) AS n FROM events GROUP BY ev_group"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +140,14 @@ func TestOnlineFallsBackForNonLinear(t *testing.T) {
 	cfg := DefaultOnlineConfig()
 	cfg.MinTableRows = 1000
 	e := NewOnlineEngine(ev.Catalog, cfg)
-	res, err := e.Execute(parse(t, "SELECT MAX(ev_value) FROM events"), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT MAX(ev_value) FROM events"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Diagnostics.FellBackToExact || res.Guarantee != GuaranteeExact {
 		t.Errorf("MAX must fall back to exact: %+v", res.Diagnostics)
 	}
-	res, err = e.Execute(parse(t, "SELECT COUNT(DISTINCT ev_user) FROM events"), DefaultErrorSpec)
+	res, err = e.ExecuteContext(context.Background(), parse(t, "SELECT COUNT(DISTINCT ev_user) FROM events"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestOnlineSkipsSmallTables(t *testing.T) {
 	ev := smallEvents(t, 2000, 0)
 	cfg := DefaultOnlineConfig() // MinTableRows 50k
 	e := NewOnlineEngine(ev.Catalog, cfg)
-	res, err := e.Execute(parse(t, "SELECT SUM(ev_value) FROM events"), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT SUM(ev_value) FROM events"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestOnlineUniverseForJoins(t *testing.T) {
 	cfg.MinTableRows = 5000
 	cfg.DefaultRate = 0.05
 	e := NewOnlineEngine(star.Catalog, cfg)
-	res, err := e.Execute(parse(t,
+	res, err := e.ExecuteContext(context.Background(), parse(t,
 		"SELECT COUNT(*) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +205,7 @@ func TestOnlineFallbackToExactOnMiss(t *testing.T) {
 	cfg.DefaultRate = 0.001 // far too small for a 0.1% error target
 	cfg.FallbackToExact = true
 	e := NewOnlineEngine(ev.Catalog, cfg)
-	res, err := e.Execute(parse(t, "SELECT SUM(ev_value) FROM events"),
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT SUM(ev_value) FROM events"),
 		ErrorSpec{RelError: 0.001, Confidence: 0.95})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +228,7 @@ func TestOnlineSampleCache(t *testing.T) {
 	sql := "SELECT SUM(ev_value) AS s FROM events"
 
 	// First query: miss — builds and pays a base scan.
-	res1, err := e.Execute(parse(t, sql), DefaultErrorSpec)
+	res1, err := e.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestOnlineSampleCache(t *testing.T) {
 	}
 
 	// Second (different) query on the same table: hit — scans only the sample.
-	res2, err := e.Execute(parse(t, "SELECT AVG(ev_value) AS m, COUNT(*) AS n FROM events"), DefaultErrorSpec)
+	res2, err := e.ExecuteContext(context.Background(), parse(t, "SELECT AVG(ev_value) AS m, COUNT(*) AS n FROM events"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestOnlineSampleCache(t *testing.T) {
 	if err := ev.AppendShifted(5000, 1, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(parse(t, sql), DefaultErrorSpec); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec); err != nil {
 		t.Fatal(err)
 	}
 	if e.CacheMisses != 2 {
@@ -267,7 +268,7 @@ func TestOnlineSampleCache(t *testing.T) {
 
 	// Explicit TABLESAMPLE opts out of caching.
 	hitsBefore := e.CacheHits
-	if _, err := e.Execute(parse(t, "SELECT SUM(ev_value) FROM events TABLESAMPLE BERNOULLI (5)"), DefaultErrorSpec); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), parse(t, "SELECT SUM(ev_value) FROM events TABLESAMPLE BERNOULLI (5)"), DefaultErrorSpec); err != nil {
 		t.Fatal(err)
 	}
 	if e.CacheHits != hitsBefore {
@@ -288,7 +289,7 @@ func TestOnlineSelectivityGuard(t *testing.T) {
 
 	// Highly selective range: histogram predicts ~0 sampled rows ->
 	// exact fallback with an explanatory message.
-	res, err := e.Execute(parse(t,
+	res, err := e.ExecuteContext(context.Background(), parse(t,
 		"SELECT SUM(ev_value) FROM events WHERE ev_value > 1e9"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func TestOnlineSelectivityGuard(t *testing.T) {
 	}
 
 	// Unselective range: sampling proceeds.
-	res, err = e.Execute(parse(t,
+	res, err = e.ExecuteContext(context.Background(), parse(t,
 		"SELECT SUM(ev_value) FROM events WHERE ev_value > 1"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +319,7 @@ func TestOnlineSelectivityGuard(t *testing.T) {
 
 	// Predicate on a column without a histogram: no prediction, sampling
 	// proceeds (the guard only acts when it can see).
-	res, err = e.Execute(parse(t,
+	res, err = e.ExecuteContext(context.Background(), parse(t,
 		"SELECT SUM(ev_value) FROM events WHERE ev_ts > 100"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +354,7 @@ func TestOfflineEngineLifecycle(t *testing.T) {
 	if err := e.ProfileQuery(sql); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(parse(t, sql), ErrorSpec{RelError: 0.5, Confidence: 0.9})
+	res, err := e.ExecuteContext(context.Background(), parse(t, sql), ErrorSpec{RelError: 0.5, Confidence: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestOfflineEngineLifecycle(t *testing.T) {
 	}
 
 	// Unprofiled shape falls back.
-	res, err = e.Execute(parse(t, "SELECT ev_flag, AVG(ev_value) FROM events GROUP BY ev_flag"), DefaultErrorSpec)
+	res, err = e.ExecuteContext(context.Background(), parse(t, "SELECT ev_flag, AVG(ev_value) FROM events GROUP BY ev_flag"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestOfflineStaleness(t *testing.T) {
 	spec := ErrorSpec{RelError: 0.5, Confidence: 0.9}
 
 	// Fresh: a-priori.
-	res, err := e.Execute(parse(t, sql), spec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, sql), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestOfflineStaleness(t *testing.T) {
 	}
 
 	// Policy: fallback to exact.
-	res, err = e.Execute(parse(t, sql), spec)
+	res, err = e.ExecuteContext(context.Background(), parse(t, sql), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestOfflineStaleness(t *testing.T) {
 
 	// Policy: serve stale.
 	e.Config.StalePolicy = StaleServe
-	res, err = e.Execute(parse(t, sql), spec)
+	res, err = e.ExecuteContext(context.Background(), parse(t, sql), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestOfflineStaleness(t *testing.T) {
 	// Policy: rebuild.
 	e.Config.StalePolicy = StaleRebuild
 	before := e.Maintenance.Rebuilds
-	res, err = e.Execute(parse(t, sql), spec)
+	res, err = e.ExecuteContext(context.Background(), parse(t, sql), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestOLAEngineConverges(t *testing.T) {
 	cfg.StopWhenSpecMet = false
 	e := NewOLAEngine(ev.Catalog, cfg)
 	var widths []float64
-	res, err := e.ExecuteProgressive(parse(t, "SELECT SUM(ev_value) AS s FROM events"),
+	res, err := e.ExecuteProgressiveContext(context.Background(), parse(t, "SELECT SUM(ev_value) AS s FROM events"),
 		DefaultErrorSpec, func(p Progress) bool {
 			widths = append(widths, p.Result.Items[0][0].CI.Width())
 			return true
@@ -460,7 +461,7 @@ func TestOLAEngineConverges(t *testing.T) {
 		t.Errorf("CI did not shrink: first %v last %v", widths[0], widths[len(widths)-1])
 	}
 	// Full read: exact-ish estimate.
-	exact, _ := NewExactEngine(ev.Catalog).Execute(parse(t, "SELECT SUM(ev_value) AS s FROM events"), DefaultErrorSpec)
+	exact, _ := NewExactEngine(ev.Catalog).ExecuteContext(context.Background(), parse(t, "SELECT SUM(ev_value) AS s FROM events"), DefaultErrorSpec)
 	if math.Abs(res.Float(0, 0)-exact.Float(0, 0))/exact.Float(0, 0) > 0.001 {
 		t.Errorf("full-read OLA = %v vs exact %v", res.Float(0, 0), exact.Float(0, 0))
 	}
@@ -471,7 +472,7 @@ func TestOLAStopsEarlyWithPeekingCaveat(t *testing.T) {
 	cfg := DefaultOLAConfig()
 	cfg.ChunkRows = 2000
 	e := NewOLAEngine(ev.Catalog, cfg)
-	res, err := e.Execute(parse(t, "SELECT COUNT(*) AS n FROM events"),
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT COUNT(*) AS n FROM events"),
 		ErrorSpec{RelError: 0.1, Confidence: 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -498,7 +499,7 @@ func TestOLAGroupBy(t *testing.T) {
 	cfg := DefaultOLAConfig()
 	cfg.StopWhenSpecMet = false
 	e := NewOLAEngine(ev.Catalog, cfg)
-	res, err := e.Execute(parse(t, "SELECT ev_group, COUNT(*) AS n FROM events GROUP BY ev_group"),
+	res, err := e.ExecuteContext(context.Background(), parse(t, "SELECT ev_group, COUNT(*) AS n FROM events GROUP BY ev_group"),
 		DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -526,14 +527,14 @@ func TestOLAJoins(t *testing.T) {
 	cfg.ChunkRows = 5000
 	e := NewOLAEngine(star.Catalog, cfg)
 	sql := "SELECT COUNT(*) AS n, SUM(l_extendedprice) AS s FROM lineitem JOIN orders ON l_orderkey = o_orderkey"
-	res, err := e.Execute(parse(t, sql), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Diagnostics.FellBackToExact {
 		t.Fatalf("OLA should handle small-dimension joins: %v", res.Diagnostics.Messages)
 	}
-	exact, err := NewExactEngine(star.Catalog).Execute(parse(t, sql), DefaultErrorSpec)
+	exact, err := NewExactEngine(star.Catalog).ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,11 +556,11 @@ func TestOLAJoinGroupBy(t *testing.T) {
 	cfg.StopWhenSpecMet = false
 	e := NewOLAEngine(star.Catalog, cfg)
 	sql := "SELECT o_orderpriority, COUNT(*) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority"
-	res, err := e.Execute(parse(t, sql), DefaultErrorSpec)
+	res, err := e.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewExactEngine(star.Catalog).Execute(parse(t, sql), DefaultErrorSpec)
+	exact, err := NewExactEngine(star.Catalog).ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +582,7 @@ func TestOLAJoinFallsBackWhenDimTooLarge(t *testing.T) {
 	cfg := DefaultOLAConfig()
 	cfg.MaxBuildRows = 10 // orders is larger than this
 	e := NewOLAEngine(star.Catalog, cfg)
-	res, err := e.Execute(parse(t,
+	res, err := e.ExecuteContext(context.Background(), parse(t,
 		"SELECT COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -604,11 +605,11 @@ func TestSynopsisEngine(t *testing.T) {
 
 	// Range count from histogram.
 	sql := "SELECT COUNT(*) FROM events WHERE ev_value BETWEEN 50 AND 150"
-	got, err := e.Execute(parse(t, sql), DefaultErrorSpec)
+	got, err := e.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := exact.Execute(parse(t, sql), DefaultErrorSpec)
+	want, _ := exact.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if math.Abs(got.Float(0, 0)-want.Float(0, 0))/want.Float(0, 0) > 0.05 {
 		t.Errorf("histogram count = %v vs exact %v", got.Float(0, 0), want.Float(0, 0))
 	}
@@ -618,20 +619,20 @@ func TestSynopsisEngine(t *testing.T) {
 
 	// COUNT DISTINCT from HLL.
 	sqlD := "SELECT COUNT(DISTINCT ev_user) FROM events"
-	gotD, err := e.Execute(parse(t, sqlD), DefaultErrorSpec)
+	gotD, err := e.ExecuteContext(context.Background(), parse(t, sqlD), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantD, _ := exact.Execute(parse(t, sqlD), DefaultErrorSpec)
+	wantD, _ := exact.ExecuteContext(context.Background(), parse(t, sqlD), DefaultErrorSpec)
 	if math.Abs(gotD.Float(0, 0)-wantD.Float(0, 0))/wantD.Float(0, 0) > 0.05 {
 		t.Errorf("HLL = %v vs exact %v", gotD.Float(0, 0), wantD.Float(0, 0))
 	}
 
 	// Unsupported shape errors.
-	if _, err := e.Execute(parse(t, "SELECT SUM(ev_value) FROM events"), DefaultErrorSpec); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), parse(t, "SELECT SUM(ev_value) FROM events"), DefaultErrorSpec); err == nil {
 		t.Error("SUM is not synopsis-answerable")
 	}
-	if _, err := e.Execute(parse(t, "SELECT COUNT(*) FROM events WHERE ev_flag = true AND ev_value > 3"), DefaultErrorSpec); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), parse(t, "SELECT COUNT(*) FROM events WHERE ev_flag = true AND ev_value > 3"), DefaultErrorSpec); err == nil {
 		t.Error("multi-column predicate is not synopsis-answerable")
 	}
 }
@@ -643,11 +644,11 @@ func TestSynopsisPointCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT COUNT(*) FROM events WHERE ev_group = 1"
-	got, err := e.Execute(parse(t, sql), DefaultErrorSpec)
+	got, err := e.ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := NewExactEngine(ev.Catalog).Execute(parse(t, sql), DefaultErrorSpec)
+	want, _ := NewExactEngine(ev.Catalog).ExecuteContext(context.Background(), parse(t, sql), DefaultErrorSpec)
 	// CMS never underestimates and stays within its bound.
 	if got.Float(0, 0) < want.Float(0, 0) {
 		t.Errorf("CMS underestimated: %v < %v", got.Float(0, 0), want.Float(0, 0))
@@ -698,7 +699,7 @@ func TestAdvisorRouting(t *testing.T) {
 	}
 
 	// End-to-end execution through the advisor, spec from SQL.
-	res, dec, err := adv.Execute(groupSQL+" WITH ERROR 50% CONFIDENCE 90%", DefaultErrorSpec)
+	res, dec, err := adv.ExecuteStmtContext(context.Background(), parse(t, groupSQL+" WITH ERROR 50% CONFIDENCE 90%"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func coverageFixture(t *testing.T) (*workload.Events, *sqlparse.SelectStmt, floa
 		t.Fatal(err)
 	}
 	stmt := parse(t, "SELECT SUM(ev_value) AS s FROM events")
-	exact, err := NewExactEngine(ev.Catalog).Execute(stmt, DefaultErrorSpec)
+	exact, err := NewExactEngine(ev.Catalog).ExecuteContext(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,13 +37,8 @@ func NewExactEngine(cat *storage.Catalog) *ExactEngine {
 // Name implements Engine.
 func (e *ExactEngine) Name() Technique { return TechniqueExact }
 
-// Execute implements Engine. Any TABLESAMPLE clauses in the statement are
-// stripped: exact means exact.
-func (e *ExactEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteContext(context.Background(), stmt, spec)
-}
-
-// ExecuteContext is Execute under a context: scans observe cancellation
+// ExecuteContext implements Engine. Any TABLESAMPLE clauses in the
+// statement are stripped: exact means exact. Scans observe cancellation
 // and deadlines, aborting with ctx.Err().
 func (e *ExactEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
 	defer contain(&err)
@@ -101,14 +96,10 @@ func (e *ExactEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectS
 	return out, nil
 }
 
-// ExecuteAsWritten runs a statement honoring its TABLESAMPLE clauses
-// verbatim: the manual path for users who place samplers themselves. The
-// result carries a-posteriori intervals when any sampler was present.
-func ExecuteAsWritten(cat *storage.Catalog, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return ExecuteAsWrittenContext(context.Background(), cat, stmt, spec)
-}
-
-// ExecuteAsWrittenContext is ExecuteAsWritten under a context.
+// ExecuteAsWrittenContext runs a statement honoring its TABLESAMPLE
+// clauses verbatim: the manual path for users who place samplers
+// themselves. The result carries a-posteriori intervals when any sampler
+// was present.
 func ExecuteAsWrittenContext(ctx context.Context, cat *storage.Catalog, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
 	defer contain(&err)
 	start := time.Now()

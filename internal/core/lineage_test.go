@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestExactAndOnlineLineage(t *testing.T) {
 	ev := smallEvents(t, 2000, 0.5)
 	stmt := parse(t, "SELECT SUM(ev_value) FROM events")
 
-	res, err := NewExactEngine(ev.Catalog).Execute(stmt, DefaultErrorSpec)
+	res, err := NewExactEngine(ev.Catalog).ExecuteContext(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestExactAndOnlineLineage(t *testing.T) {
 	}
 
 	on := NewOnlineEngine(ev.Catalog, OnlineConfig{DefaultRate: 0.2, MinTableRows: 1, Seed: 3})
-	res, err = on.Execute(stmt, ErrorSpec{RelError: 0.5, Confidence: 0.95})
+	res, err = on.ExecuteContext(context.Background(), stmt, ErrorSpec{RelError: 0.5, Confidence: 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestOfflineBuildRowsSurvivesRebuild(t *testing.T) {
 	if err := eng.ProfileQuery(sql); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Execute(parse(t, sql), ErrorSpec{RelError: 0.9, Confidence: 0.9})
+	res, err := eng.ExecuteContext(context.Background(), parse(t, sql), ErrorSpec{RelError: 0.9, Confidence: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSynopsisLineage(t *testing.T) {
 	if err := ev.AppendShifted(300, 2, 7); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Execute(parse(t, "SELECT COUNT(*) FROM events WHERE ev_value >= 10 AND ev_value < 90"), DefaultErrorSpec)
+	res, err := eng.ExecuteContext(context.Background(), parse(t, "SELECT COUNT(*) FROM events WHERE ev_value >= 10 AND ev_value < 90"), DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func (e *OfflineEngine) ProfileQuery(sql string) error {
 	if len(cands) == 0 {
 		return nil
 	}
-	exactRes, err := NewExactEngine(e.Catalog).Execute(stmt, DefaultErrorSpec)
+	exactRes, err := NewExactEngine(e.Catalog).ExecuteContext(context.TODO(), stmt, DefaultErrorSpec)
 	if err != nil {
 		return err
 	}
@@ -440,12 +440,6 @@ func (e *OfflineEngine) executeOn(ctx context.Context, s *StoredSample, stmt *sq
 	return exec.RunParallelContext(ctx, p, resolveWorkers(ctx, p, e.Config.Workers))
 }
 
-// Execute implements Engine: pick the cheapest fresh sample certified for
-// the spec, else fall back per configuration.
-func (e *OfflineEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteContext(context.Background(), stmt, spec)
-}
-
 // offlineCand is one certified candidate with the facts captured under
 // the registry lock, so later reporting needs no further locking.
 type offlineCand struct {
@@ -490,8 +484,9 @@ func (e *OfflineEngine) selectSample(stmt *sqlparse.SelectStmt, spec ErrorSpec,
 	return best, wantRebuild
 }
 
-// ExecuteContext is Execute under a context: the sample scan (and any
-// exact fallback) observes cancellation and deadlines.
+// ExecuteContext implements Engine: pick the cheapest fresh sample
+// certified for the spec, else fall back per configuration. The sample
+// scan (and any exact fallback) observes cancellation and deadlines.
 func (e *OfflineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
 	defer contain(&err)
 	if err := injectOffline.Inject(); err != nil {

@@ -98,16 +98,11 @@ func NewOLAEngine(cat *storage.Catalog, cfg OLAConfig) *OLAEngine {
 // Name implements Engine.
 func (e *OLAEngine) Name() Technique { return TechniqueOLA }
 
-// Execute implements Engine by running ExecuteProgressive without an
-// observer.
-func (e *OLAEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteProgressive(stmt, spec, nil)
-}
-
-// ExecuteContext runs the query under a context. At the deadline the
-// engine does not error: it stops reading and returns its best
-// progressive estimate so far with an honest a-posteriori CI — the
-// error/latency trade-off made explicit (graceful degradation).
+// ExecuteContext implements Engine by running ExecuteProgressiveContext
+// without an observer. At the deadline the engine does not error: it
+// stops reading and returns its best progressive estimate so far with an
+// honest a-posteriori CI — the error/latency trade-off made explicit
+// (graceful degradation).
 func (e *OLAEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
 	return e.ExecuteProgressiveContext(ctx, stmt, spec, nil)
 }
@@ -130,14 +125,8 @@ type olaGroup struct {
 	aggs []olaAgg
 }
 
-// ExecuteProgressive runs the query with checkpoints; observe (if
-// non-nil) is called at each checkpoint and may return false to stop.
-func (e *OLAEngine) ExecuteProgressive(stmt *sqlparse.SelectStmt, spec ErrorSpec,
-	observe func(Progress) bool) (*Result, error) {
-	return e.ExecuteProgressiveContext(context.Background(), stmt, spec, observe)
-}
-
-// ExecuteProgressiveContext is ExecuteProgressive under a context. The
+// ExecuteProgressiveContext runs the query with checkpoints; observe (if
+// non-nil) is called at each checkpoint and may return false to stop. The
 // context is checked between chunks after the first chunk completes:
 // cancellation or a deadline ends the progressive loop and the best
 // estimate so far is returned (never an error), keeping its a-posteriori

@@ -197,13 +197,8 @@ func (e *OnlineEngine) estimatedQualifyingRows(s *plan.Scan) (float64, bool) {
 // Name implements Engine.
 func (e *OnlineEngine) Name() Technique { return TechniqueOnline }
 
-// Execute implements Engine.
-func (e *OnlineEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteContext(context.Background(), stmt, spec)
-}
-
-// ExecuteContext is Execute under a context: the sampled scan (and any
-// exact fallback) observes cancellation and deadlines.
+// ExecuteContext implements Engine: the sampled scan (and any exact
+// fallback) observes cancellation and deadlines.
 func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
 	defer contain(&err)
 	if err := injectOnline.Inject(); err != nil {

@@ -88,11 +88,11 @@ func TestShardSingleBitIdentity(t *testing.T) {
 	exPlain := NewExactEngine(ev.Catalog)
 	exSharded := NewExactEngine(ev.Catalog)
 	exSharded.Shards = m
-	ra, err := exPlain.Execute(stmt, DefaultErrorSpec)
+	ra, err := exPlain.ExecuteContext(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := exSharded.Execute(stmt, DefaultErrorSpec)
+	rb, err := exSharded.ExecuteContext(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestShardDegradeUnderChaos(t *testing.T) {
 	// guarantee drops to none rather than faking certainty.
 	ex := NewExactEngine(ev.Catalog)
 	ex.Shards = m
-	exRes, err := ex.Execute(stmt, DefaultErrorSpec)
+	exRes, err := ex.ExecuteContext(context.Background(), stmt, DefaultErrorSpec)
 	if err != nil {
 		t.Fatalf("degraded exact query failed outright: %v", err)
 	}

@@ -130,15 +130,10 @@ func (e *SynopsisEngine) BuildColumn(table, col string, buckets int) error {
 	return nil
 }
 
-// Execute implements Engine. Unsupported queries return an error — the
-// Advisor is responsible for routing them elsewhere.
-func (e *SynopsisEngine) Execute(stmt *sqlparse.SelectStmt, spec ErrorSpec) (*Result, error) {
-	return e.ExecuteContext(context.Background(), stmt, spec)
-}
-
-// ExecuteContext is Execute under a context. Synopsis answers are
-// O(synopsis) — no scan to cancel — so the context is only checked once
-// up front.
+// ExecuteContext implements Engine. Unsupported queries return an error
+// — the Advisor is responsible for routing them elsewhere. Synopsis
+// answers are O(synopsis) — no scan to cancel — so the context is only
+// checked once up front.
 func (e *SynopsisEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectStmt, spec ErrorSpec) (_ *Result, err error) {
 	defer contain(&err)
 	if err := injectSynopsis.Inject(); err != nil {

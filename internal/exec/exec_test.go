@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -77,7 +78,7 @@ func runSQL(t *testing.T, cat *storage.Catalog, sql string) *Result {
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
 	}
-	res, err := Run(p)
+	res, err := RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}

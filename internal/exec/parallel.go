@@ -78,11 +78,6 @@ func ResolveWorkers(ctx context.Context, hint int) int {
 	return 1
 }
 
-// RunParallel executes a logical plan with the given worker count.
-func RunParallel(root plan.Node, workers int) (*Result, error) {
-	return RunParallelContext(context.Background(), root, workers)
-}
-
 // RunParallelContext executes a logical plan under ctx, running eligible
 // aggregate-over-scan subtrees on the morsel-parallel path with the given
 // worker count (≤ 0 resolves via ResolveWorkers). Plans with no eligible

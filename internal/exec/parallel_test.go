@@ -92,11 +92,11 @@ var parallelQueries = []string{
 func TestParallelMatchesSerial(t *testing.T) {
 	cat := parallelCatalog(t, 40_000)
 	for _, sql := range parallelQueries {
-		serial, err := Run(buildPlan(t, cat, sql))
+		serial, err := RunContext(context.Background(), buildPlan(t, cat, sql))
 		if err != nil {
 			t.Fatalf("serial %q: %v", sql, err)
 		}
-		par, err := RunParallel(buildPlan(t, cat, sql), 4)
+		par, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), 4)
 		if err != nil {
 			t.Fatalf("parallel %q: %v", sql, err)
 		}
@@ -127,12 +127,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelWorkerInvariance(t *testing.T) {
 	cat := parallelCatalog(t, 40_000)
 	for _, sql := range parallelQueries {
-		ref, err := RunParallel(buildPlan(t, cat, sql), 1)
+		ref, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), 1)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
 		for _, w := range []int{2, 3, 4, 8} {
-			got, err := RunParallel(buildPlan(t, cat, sql), w)
+			got, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), w)
 			if err != nil {
 				t.Fatalf("%q W=%d: %v", sql, w, err)
 			}
@@ -168,11 +168,11 @@ func TestParallelWorkerInvariance(t *testing.T) {
 func TestParallelDistinctFallsBackSerial(t *testing.T) {
 	cat := parallelCatalog(t, 20_000)
 	sql := "SELECT g, COUNT(*) FROM ev TABLESAMPLE DISTINCT (10, 50) ON (g) GROUP BY g ORDER BY g"
-	serial, err := Run(buildPlan(t, cat, sql))
+	serial, err := RunContext(context.Background(), buildPlan(t, cat, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(buildPlan(t, cat, sql), 4)
+	par, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

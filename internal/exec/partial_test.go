@@ -20,7 +20,7 @@ func TestPartialFinalizeMatchesDirect(t *testing.T) {
 		"SELECT g, COUNT(*) FROM ev GROUP BY g ORDER BY g LIMIT 3",
 	)
 	for _, sql := range queries {
-		direct, err := RunParallel(buildPlan(t, cat, sql), 4)
+		direct, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), 4)
 		if err != nil {
 			t.Fatalf("direct %q: %v", sql, err)
 		}
@@ -67,7 +67,7 @@ func TestMergedPartialsMatchWholeTable(t *testing.T) {
 	}
 
 	sql := "SELECT g, COUNT(*), SUM(v), AVG(v) FROM ev GROUP BY g ORDER BY g"
-	direct, err := RunParallel(buildPlan(t, cat, sql), 4)
+	direct, err := RunParallelContext(context.Background(), buildPlan(t, cat, sql), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

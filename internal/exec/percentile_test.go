@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -66,7 +67,7 @@ func TestPercentileSampled(t *testing.T) {
 		}
 		plan.ApplySampler(p, "p", sample.Spec{
 			Kind: sample.KindUniformRow, Rate: 0.05, Seed: int64(tr) * 31})
-		res, err := Run(p)
+		res, err := RunContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

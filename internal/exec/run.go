@@ -9,18 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// BuildOperator compiles a logical plan into a physical operator tree.
-// All scans share the provided counters. The tree observes no
-// cancellation; use BuildOperatorContext for deadline-aware execution.
-func BuildOperator(n plan.Node, counters *Counters) (Operator, error) {
-	return BuildOperatorContext(context.Background(), n, counters)
-}
-
 // BuildOperatorContext compiles a logical plan into a physical operator
-// tree whose scans check ctx between batches, so long scans observe
-// cancellation and deadlines at BatchSize granularity. When the context
-// carries a trace span, every operator is wrapped with span accounting
-// under a child span named by the plan node.
+// tree. All scans share the provided counters and check ctx between
+// batches, so long scans observe cancellation and deadlines at BatchSize
+// granularity. When the context carries a trace span, every operator is
+// wrapped with span accounting under a child span named by the plan node.
 func BuildOperatorContext(ctx context.Context, n plan.Node, counters *Counters) (Operator, error) {
 	sp, cctx := trace.StartOp(ctx, n.Explain())
 	op, err := buildSerialOp(cctx, n, counters)
@@ -81,12 +74,8 @@ func buildSerialOp(ctx context.Context, n plan.Node, counters *Counters) (Operat
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
 }
 
-// Run executes a logical plan to completion, materializing the result.
-func Run(root plan.Node) (*Result, error) {
-	return RunContext(context.Background(), root)
-}
-
-// RunContext executes a logical plan to completion under ctx. Scans check
+// RunContext executes a logical plan to completion under ctx,
+// materializing the result on the serial operators. Scans check
 // the context between batches, so a deadline or cancellation aborts the
 // query mid-scan with ctx.Err() rather than running to completion.
 func RunContext(ctx context.Context, root plan.Node) (*Result, error) {

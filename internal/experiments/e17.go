@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -31,6 +32,7 @@ func runE17(s Scale) (*Table, error) {
 	ola := core.NewOLAEngine(star.Catalog, olaCfg)
 	exact := core.NewExactEngine(star.Catalog)
 
+	ctx := context.TODO()
 	spec := core.ErrorSpec{RelError: 0.1, Confidence: 0.95}
 	rng := rand.New(rand.NewSource(s.Seed))
 
@@ -44,7 +46,7 @@ func runE17(s Scale) (*Table, error) {
 			return nil, err
 		}
 		t0 := time.Now()
-		exRes, err := exact.Execute(stmt, spec)
+		exRes, err := exact.ExecuteContext(ctx, stmt, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -53,14 +55,13 @@ func runE17(s Scale) (*Table, error) {
 
 		for _, eng := range []struct {
 			name string
-			run  func(*sqlparse.SelectStmt) (*core.Result, error)
+			eng  core.Engine
 		}{
-			{"online", func(st *sqlparse.SelectStmt) (*core.Result, error) { return online.Execute(st, spec) }},
-			{"ola", func(st *sqlparse.SelectStmt) (*core.Result, error) { return ola.Execute(st, spec) }},
+			{"online", online},
+			{"ola", ola},
 		} {
-			st2, _ := sqlparse.Parse(sql)
 			t0 = time.Now()
-			res, err := eng.run(st2)
+			res, err := eng.eng.ExecuteContext(ctx, stmt, spec)
 			if err != nil {
 				t.AddRow(tpl.Name, eng.name, "-", "-", "-", "error: "+err.Error())
 				continue

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -41,7 +42,7 @@ func runSampled(cat *storage.Catalog, sql, table string, spec *sample.Spec, work
 		// Re-run the weight alignment in case of correlated samplers.
 		_ = plan.Optimize(p)
 	}
-	return exec.RunParallel(p, workers)
+	return exec.RunParallelContext(context.TODO(), p, workers)
 }
 
 func exactFloat(cat *storage.Catalog, sql string, workers int) (float64, error) {
@@ -49,7 +50,7 @@ func exactFloat(cat *storage.Catalog, sql string, workers int) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	res, err := (&core.ExactEngine{Catalog: cat, Workers: workers}).Execute(stmt, core.DefaultErrorSpec)
+	res, err := (&core.ExactEngine{Catalog: cat, Workers: workers}).ExecuteContext(context.TODO(), stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return 0, err
 	}
@@ -199,7 +200,7 @@ func runE3(s Scale) (*Table, error) {
 		}
 		sql := "SELECT ev_group, COUNT(*) FROM events GROUP BY ev_group"
 		exactStmt, _ := sqlparse.Parse(sql)
-		exactRes, err := core.NewExactEngine(ev.Catalog).Execute(exactStmt, core.DefaultErrorSpec)
+		exactRes, err := core.NewExactEngine(ev.Catalog).ExecuteContext(context.TODO(), exactStmt, core.DefaultErrorSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +263,7 @@ func runE4(s Scale) (*Table, error) {
 	}
 	sql := "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem JOIN orders ON l_orderkey = o_orderkey"
 	stmt, _ := sqlparse.Parse(sql)
-	exactRes, err := core.NewExactEngine(star.Catalog).Execute(stmt, core.DefaultErrorSpec)
+	exactRes, err := core.NewExactEngine(star.Catalog).ExecuteContext(context.TODO(), stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -297,13 +298,12 @@ func runE4(s Scale) (*Table, error) {
 			var outRows int64
 			var cErr, sErr float64
 			for tr := 0; tr < s.Trials; tr++ {
-				stmt2, _ := sqlparse.Parse(sql)
-				p, err := plan.Build(stmt2, star.Catalog)
+				p, err := plan.Build(stmt, star.Catalog)
 				if err != nil {
 					return nil, err
 				}
 				st.build(p, rate, s.Seed+int64(tr)*77)
-				res, err := exec.RunParallel(p, s.Workers)
+				res, err := exec.RunParallelContext(context.TODO(), p, s.Workers)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -68,12 +69,12 @@ func runE20(s Scale) (*Table, error) {
 		run     func(plan.Node) (*exec.Result, error)
 	}
 	modes := []mode{
-		{"volcano-serial", 0, func(p plan.Node) (*exec.Result, error) { return exec.Run(p) }},
+		{"volcano-serial", 0, func(p plan.Node) (*exec.Result, error) { return exec.RunContext(context.TODO(), p) }},
 	}
 	for _, w := range []int{1, 2, 4} {
 		w := w
 		modes = append(modes, mode{fmt.Sprintf("morsel-w%d", w), w,
-			func(p plan.Node) (*exec.Result, error) { return exec.RunParallel(p, w) }})
+			func(p plan.Node) (*exec.Result, error) { return exec.RunParallelContext(context.TODO(), p, w) }})
 	}
 
 	t := &Table{ID: "E20", Title: "morsel-driven parallel speedup on an exact aggregate scan",

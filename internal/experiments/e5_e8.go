@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -58,6 +59,7 @@ func runE5(s Scale) (*Table, error) {
 	online := core.NewOnlineEngine(ev.Catalog, onCfg)
 	exact := core.NewExactEngine(ev.Catalog)
 
+	ctx := context.TODO()
 	spec := core.ErrorSpec{RelError: 0.15, Confidence: 0.95}
 	t := &Table{ID: "E5", Title: "offline vs online as the workload leaves the predicted QCS",
 		Header: []string{"qcs_hit_rate", "engine", "apriori_frac", "fallback_frac", "mean_work_frac"}}
@@ -75,10 +77,10 @@ func runE5(s Scale) (*Table, error) {
 		}
 		for _, eng := range []struct {
 			name string
-			run  func(*sqlparse.SelectStmt) (*core.Result, error)
+			eng  core.Engine
 		}{
-			{"offline", func(st *sqlparse.SelectStmt) (*core.Result, error) { return offline.Execute(st, spec) }},
-			{"online", func(st *sqlparse.SelectStmt) (*core.Result, error) { return online.Execute(st, spec) }},
+			{"offline", offline},
+			{"online", online},
 		} {
 			var apriori, fellBack int
 			var scanFrac float64
@@ -87,12 +89,11 @@ func runE5(s Scale) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				exSt, _ := sqlparse.Parse(q)
-				exactRes, err := exact.Execute(exSt, spec)
+				exactRes, err := exact.ExecuteContext(ctx, st, spec)
 				if err != nil {
 					return nil, err
 				}
-				res, err := eng.run(st)
+				res, err := eng.eng.ExecuteContext(ctx, st, spec)
 				if err != nil {
 					return nil, err
 				}
@@ -164,12 +165,11 @@ func runE6(s Scale) (*Table, error) {
 			return nil, err
 		}
 		st, _ := sqlparse.Parse(sql)
-		offRes, err := offline.Execute(st, spec)
+		offRes, err := offline.ExecuteContext(context.TODO(), st, spec)
 		if err != nil {
 			return nil, err
 		}
-		st2, _ := sqlparse.Parse(sql)
-		onRes, err := online.Execute(st2, spec)
+		onRes, err := online.ExecuteContext(context.TODO(), st, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +266,7 @@ func runE7(s Scale) (*Table, error) {
 				return nil, err
 			}
 			sc.apply(p, s.Seed+int64(tr)*131)
-			res, err := exec.RunParallel(p, s.Workers)
+			res, err := exec.RunParallelContext(context.TODO(), p, s.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -317,6 +317,7 @@ func runE8(s Scale) (*Table, error) {
 	}
 	buildTime := time.Since(buildStart)
 	exact := core.NewExactEngine(ev.Catalog)
+	ctx := context.TODO()
 
 	probes := []struct {
 		name string
@@ -333,7 +334,7 @@ func runE8(s Scale) (*Table, error) {
 	for _, pr := range probes {
 		stmt, _ := sqlparse.Parse(pr.sql)
 		t0 := time.Now()
-		exRes, err := exact.Execute(stmt, core.DefaultErrorSpec)
+		exRes, err := exact.ExecuteContext(ctx, stmt, core.DefaultErrorSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -343,9 +344,8 @@ func runE8(s Scale) (*Table, error) {
 			itoa(exRes.Diagnostics.Counters.RowsScanned), "0.0000")
 
 		// Synopsis attempt.
-		stmt2, _ := sqlparse.Parse(pr.sql)
 		t0 = time.Now()
-		synRes, err := syn.Execute(stmt2, core.DefaultErrorSpec)
+		synRes, err := syn.ExecuteContext(ctx, stmt, core.DefaultErrorSpec)
 		if err != nil {
 			t.AddRow(pr.name, "synopsis", "-", "-", "unsupported")
 		} else {

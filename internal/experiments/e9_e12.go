@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/core"
@@ -35,9 +36,10 @@ func runE9(s Scale) (*Table, error) {
 	t := &Table{ID: "E9", Title: "passes over data: sampling is one pass; fallback pays twice",
 		Header: []string{"run", "passes", "rows_scanned", "latency", "spec_met"}}
 
+	ctx := context.TODO()
 	stmt, _ := sqlparse.Parse(sql)
 	t0 := time.Now()
-	exRes, err := exact.Execute(stmt, core.DefaultErrorSpec)
+	exRes, err := exact.ExecuteContext(ctx, stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -45,9 +47,8 @@ func runE9(s Scale) (*Table, error) {
 		itoa(exRes.Diagnostics.Counters.RowsScanned),
 		time.Since(t0).Round(time.Microsecond).String(), "n/a")
 
-	stmt2, _ := sqlparse.Parse(sql)
 	t0 = time.Now()
-	onRes, err := online.Execute(stmt2, core.ErrorSpec{RelError: 0.2, Confidence: 0.9})
+	onRes, err := online.ExecuteContext(ctx, stmt, core.ErrorSpec{RelError: 0.2, Confidence: 0.9})
 	if err != nil {
 		return nil, err
 	}
@@ -61,9 +62,8 @@ func runE9(s Scale) (*Table, error) {
 	fbCfg := onCfg
 	fbCfg.FallbackToExact = true
 	fallback := core.NewOnlineEngine(star.Catalog, fbCfg)
-	stmt3, _ := sqlparse.Parse(sql)
 	t0 = time.Now()
-	fbRes, err := fallback.Execute(stmt3, core.ErrorSpec{RelError: 0.0005, Confidence: 0.99})
+	fbRes, err := fallback.ExecuteContext(ctx, stmt, core.ErrorSpec{RelError: 0.0005, Confidence: 0.99})
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +109,9 @@ func runE10(s Scale) (*Table, error) {
 			return nil, err
 		}
 	}
-	exactStmt, _ := sqlparse.Parse(sql)
-	exactRes, err := core.NewExactEngine(ev.Catalog).Execute(exactStmt, core.DefaultErrorSpec)
+	ctx := context.TODO()
+	stmt, _ := sqlparse.Parse(sql)
+	exactRes, err := core.NewExactEngine(ev.Catalog).ExecuteContext(ctx, stmt, core.DefaultErrorSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -118,8 +119,7 @@ func runE10(s Scale) (*Table, error) {
 	t := &Table{ID: "E10", Title: "error–latency profile: spec -> sample choice",
 		Header: []string{"spec_relerr", "answered_from", "sample_rows", "achieved_max_relerr", "guarantee"}}
 	for _, eps := range []float64{0.5, 0.2, 0.1, 0.05, 0.005} {
-		stmt, _ := sqlparse.Parse(sql)
-		res, err := off.Execute(stmt, core.ErrorSpec{RelError: eps, Confidence: 0.95})
+		res, err := off.ExecuteContext(ctx, stmt, core.ErrorSpec{RelError: eps, Confidence: 0.95})
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func runE11(s Scale) (*Table, error) {
 
 	t := &Table{ID: "E11", Title: "online aggregation: interval shrinks ~1/sqrt(rows)",
 		Header: []string{"fraction_read", "estimate_relerr", "ci_rel_halfwidth", "ci_rel*sqrt(rows)"}}
-	_, err = ola.ExecuteProgressive(stmt, core.DefaultErrorSpec, func(p core.Progress) bool {
+	_, err = ola.ExecuteProgressiveContext(context.TODO(), stmt, core.DefaultErrorSpec, func(p core.Progress) bool {
 		it := p.Result.Items[0][0]
 		rel := it.RelHalfWidth
 		t.AddRow(f4(p.Fraction), f4(relErr(p.Result.Float(0, 0), truth)),

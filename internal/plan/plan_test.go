@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -206,7 +207,7 @@ func TestPushdownEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r1, err := exec.Run(optimized)
+		r1, err := exec.RunContext(context.Background(), optimized)
 		if err != nil {
 			return false
 		}

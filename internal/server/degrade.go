@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 
+	aqp "repro"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -47,7 +48,7 @@ func modeKey(mode string) string {
 // key attached, feeding the flight recorder's breaker event stream.
 func newBreakers(cfg Config, onTransition func(engine string, from, to fault.BreakerState)) map[string]*fault.Breaker {
 	m := make(map[string]*fault.Breaker)
-	for _, k := range []string{"auto", "exact", "online", "offline", "ola", "synopsis", "as-written"} {
+	for _, k := range aqp.Modes() {
 		bc := fault.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
 		if onTransition != nil {
 			engine := k
@@ -58,18 +59,17 @@ func newBreakers(cfg Config, onTransition func(engine string, from, to fault.Bre
 	return m
 }
 
-// executeEngine runs one engine behind its circuit breaker: an open
-// breaker short-circuits to ErrEngineUnavailable, outcomes feed the
-// breaker, and a recovered panic is counted per engine.
-func (s *Server) executeEngine(ctx context.Context, mode string, req QueryRequest) (*core.Result, error) {
-	key := modeKey(mode)
+// executeEngine runs stmt in one mode behind that mode's circuit breaker:
+// an open breaker short-circuits to ErrEngineUnavailable, outcomes feed
+// the breaker, and a recovered panic is counted per engine.
+func (s *Server) executeEngine(ctx context.Context, stmt *aqp.Statement, opts aqp.QueryOptions) (*core.Result, error) {
+	key := modeKey(opts.Mode)
 	brk := s.brk[key]
 	if brk != nil && !brk.Allow() {
 		s.met.Inc(Key("breaker_open_total", "engine", key))
 		return nil, fmt.Errorf("%w: circuit breaker open for engine %s", core.ErrEngineUnavailable, key)
 	}
-	req.Mode = mode
-	res, err := s.execute(ctx, req)
+	res, err := s.db.QueryStmt(ctx, stmt, opts)
 	if errors.Is(err, core.ErrQueryPanic) {
 		s.met.Inc(Key("query_panics_total", "engine", key))
 	}
@@ -103,8 +103,9 @@ func degradable(err error) bool {
 // typically already expired when the ladder starts. It returns the
 // result, the mode degraded from ("" if the primary answered), and the
 // primary error if every rung failed too.
-func (s *Server) executeResilient(ctx, parent context.Context, req QueryRequest, workers int) (*core.Result, string, error) {
-	res, err := s.executeEngine(ctx, req.Mode, req)
+func (s *Server) executeResilient(ctx, parent context.Context, req QueryRequest, stmt *aqp.Statement, workers int) (*core.Result, string, error) {
+	opts := req.options()
+	res, err := s.executeEngine(ctx, stmt, opts)
 	if err == nil {
 		return res, "", nil
 	}
@@ -122,7 +123,8 @@ func (s *Server) executeResilient(ctx, parent context.Context, req QueryRequest,
 		// carries no tracer — re-attach the query's span so substitute
 		// engines appear in the same trace.
 		rctx = trace.Propagate(rctx, ctx)
-		sub, rerr := s.executeEngine(rctx, rung, req)
+		opts.Mode = rung
+		sub, rerr := s.executeEngine(rctx, stmt, opts)
 		cancel()
 		if rerr != nil {
 			continue
@@ -159,7 +161,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := FaultsResponse{Installed: fault.Active(), Points: fault.Status()}
-	for _, k := range []string{"auto", "exact", "online", "offline", "ola", "synopsis", "as-written"} {
+	for _, k := range aqp.Modes() {
 		b := s.brk[k]
 		resp.Breakers = append(resp.Breakers, BreakerStatus{
 			Engine: k, State: b.State().String(), Trips: b.Trips(),

@@ -337,6 +337,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds every request body the service reads: POST /query
+// and POST /samples/build answer 413 beyond it, and the shard server's
+// RPC endpoints stop reading there.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v. Bodies over maxBodyBytes get
+// 413 and malformed ones 400; it reports whether decoding succeeded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	default:
+		return true
+	}
+	return false
+}
+
 // panicWriter tracks whether a response has started, so the handler's
 // containment layer knows if a typed 500 can still be written.
 type panicWriter struct {
@@ -382,15 +403,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.SQL == "" {
-		writeError(w, http.StatusBadRequest, "missing sql")
-		return
-	}
-	if err := validMode(req.Mode); err != nil {
+	if err := req.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -452,8 +468,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx = trace.WithTracer(ctx, tr)
 	}
 
+	// The request's one parse: the same immutable statement goes to every
+	// engine the degradation ladder tries, to the auditor and to the
+	// workload registry.
 	start := time.Now()
-	res, degradedFrom, err := s.executeResilient(ctx, r.Context(), req, workers)
+	var res *core.Result
+	var degradedFrom string
+	stmt, err := aqp.Parse(req.SQL)
+	if err == nil {
+		res, degradedFrom, err = s.executeResilient(ctx, r.Context(), req, stmt, workers)
+	}
 	elapsed := time.Since(start)
 	var prof *trace.Profile
 	if tr != nil {
@@ -483,7 +507,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// queries started erroring is exactly what /workload should show.
 		var failFP string
 		if s.insight != nil {
-			failFP = s.insight.Offer(req.SQL, insight.Observation{
+			failFP = s.insight.ObserveStmt(stmt, insight.Observation{
 				LatencyMS: float64(elapsed.Microseconds()) / 1e3,
 				Err:       true,
 			})
@@ -555,7 +579,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// and never mutates res; whether this answer gets a ground-truth
 	// re-execution was decided by a coin fixed before the estimate
 	// existed, so the audit stream is an unbiased sample of production.
-	s.aud.Offer(res, req.SQL)
+	s.aud.Offer(res, stmt)
 
 	contractVerdict := ""
 	if c := res.Diagnostics.Contract; c != nil {
@@ -565,7 +589,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// auditor's Offer, this only observes: it never mutates res and
 	// cannot fail the query.
 	if s.insight != nil {
-		s.insight.Offer(req.SQL, insight.Observation{
+		s.insight.ObserveStmt(stmt, insight.Observation{
 			Technique:       tech,
 			LatencyMS:       latencyMS,
 			RowsScanned:     res.Diagnostics.Counters.RowsScanned,
@@ -598,51 +622,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = prof
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// execute routes the request to the right façade call.
-func (s *Server) execute(ctx context.Context, req QueryRequest) (*core.Result, error) {
-	spec := core.DefaultErrorSpec
-	if req.RelError > 0 {
-		spec = core.ErrorSpec{RelError: req.RelError, Confidence: req.Confidence}
-		if spec.Confidence <= 0 {
-			spec.Confidence = core.DefaultErrorSpec.Confidence
-		}
-	}
-	if req.Contract {
-		// Contract execution pins an engine: pilot-sized two-stage runs
-		// exist only for the sampling engines. "auto" takes the online
-		// engine, the workhorse; exact/synopsis/as-written have nothing to
-		// size, so requesting a contract there is a caller error.
-		switch req.Mode {
-		case "", "auto", "online":
-			return s.db.QueryContractOnContext(ctx, core.TechniqueOnline, req.SQL, spec)
-		case "ola":
-			return s.db.QueryContractOnContext(ctx, core.TechniqueOLA, req.SQL, spec)
-		case "offline":
-			return s.db.QueryContractOnContext(ctx, core.TechniqueOffline, req.SQL, spec)
-		default:
-			return nil, fmt.Errorf("mode %q does not support contract execution (want auto, online, ola, or offline)", req.Mode)
-		}
-	}
-	switch req.Mode {
-	case "", "auto":
-		return s.db.QueryApproxContext(ctx, req.SQL, spec)
-	case "exact":
-		return s.db.QueryContext(ctx, req.SQL)
-	case "online":
-		return s.db.QueryOnlineContext(ctx, req.SQL, spec)
-	case "offline":
-		return s.db.QueryOfflineContext(ctx, req.SQL, spec)
-	case "ola":
-		return s.db.QueryOLAContext(ctx, req.SQL, spec)
-	case "synopsis":
-		return s.db.QuerySynopsisContext(ctx, req.SQL, spec)
-	case "as-written":
-		return s.db.QueryAsWrittenContext(ctx, req.SQL, spec)
-	default:
-		return nil, fmt.Errorf("unknown mode %q", req.Mode)
-	}
 }
 
 // ShardGroupStatus is one sharded table's shape plus live per-shard
@@ -717,8 +696,7 @@ func (s *Server) handleBuildSamples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BuildSamplesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Table == "" {

@@ -148,6 +148,52 @@ func TestQueryEndpointErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty sql: status = %d", resp.StatusCode)
 	}
+	// rel_error and confidence outside (0,1) are refused, not served at
+	// the default spec.
+	for _, req := range []QueryRequest{
+		{SQL: "SELECT SUM(x) FROM t", RelError: 5},
+		{SQL: "SELECT SUM(x) FROM t", RelError: -0.1},
+		{SQL: "SELECT SUM(x) FROM t", RelError: 1},
+		{SQL: "SELECT SUM(x) FROM t", RelError: 0.05, Confidence: 95},
+		{SQL: "SELECT SUM(x) FROM t", Mode: "online", Confidence: -1},
+	} {
+		resp, _, bad := postQuery(t, ts.URL, req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(bad.Error, "must be in (0,1)") {
+			t.Errorf("rel_error=%g confidence=%g: status = %d (%s), want 400",
+				req.RelError, req.Confidence, resp.StatusCode, bad.Error)
+		}
+	}
+}
+
+// TestOversizedBodiesRejected checks that POST /query and POST
+// /samples/build stop reading at maxBodyBytes and answer 413.
+func TestOversizedBodiesRejected(t *testing.T) {
+	db := buildDB(t, 100)
+	srv := New(db, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	pad := strings.Repeat("x", maxBodyBytes)
+	for path, body := range map[string]string{
+		"/query":         `{"sql": "SELECT COUNT(*) FROM t WHERE g = '` + pad + `'"}`,
+		"/samples/build": `{"table": "` + pad + `"}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bad ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&bad)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d (%s), want 413", path, resp.StatusCode, bad.Error)
+		}
+	}
+	// A body under the limit still decodes.
+	resp, _, bad := postQuery(t, ts.URL, QueryRequest{SQL: "SELECT COUNT(*) FROM t", Mode: "exact"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("small body: status = %d (%s)", resp.StatusCode, bad.Error)
+	}
 }
 
 // TestOLADeadlinePartial is the headline graceful-degradation behavior:
@@ -448,7 +494,7 @@ func TestLoadCSVReaderInference(t *testing.T) {
 			t.Fatalf("column %s type = %v, want %v", sch[i].Name, sch[i].Type, w)
 		}
 	}
-	res, err := db.Query("SELECT SUM(price) FROM fruit")
+	res, err := db.Query(context.Background(), "SELECT SUM(price) FROM fruit", aqp.QueryOptions{Mode: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}

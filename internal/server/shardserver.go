@@ -85,7 +85,7 @@ func (s *ShardServer) readBody(w http.ResponseWriter, r *http.Request, v any) bo
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return false

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 
+	aqp "repro"
 	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -14,10 +16,13 @@ type QueryRequest struct {
 	// SQL is the query text; it may carry WITH ERROR / CONFIDENCE.
 	SQL string `json:"sql"`
 	// Mode picks the engine: "auto" (advisor, default), "exact",
-	// "online", "offline", "ola", "as-written".
+	// "online", "offline", "ola", "synopsis", "as-written" (see
+	// aqp.QueryOptions.Mode).
 	Mode string `json:"mode,omitempty"`
-	// RelError / Confidence form the accuracy contract when the SQL has
-	// no WITH ERROR clause (both required together).
+	// RelError / Confidence form the accuracy target, each in (0,1);
+	// Confidence defaults to 95% when only RelError is given. A WITH
+	// ERROR clause overrides them in auto and as-written modes and under
+	// Contract.
 	RelError   float64 `json:"rel_error,omitempty"`
 	Confidence float64 `json:"confidence,omitempty"`
 	// TimeoutMS bounds execution; 0 uses the server default. It is
@@ -244,11 +249,32 @@ func encodeResult(res *core.Result) *QueryResponse {
 	return out
 }
 
-// validMode reports whether the request mode is recognized.
-func validMode(m string) error {
-	switch m {
-	case "", "auto", "exact", "online", "offline", "ola", "synopsis", "as-written":
-		return nil
+// validate rejects a malformed request before it is admitted.
+func (req QueryRequest) validate() error {
+	if req.SQL == "" {
+		return errors.New("missing sql")
 	}
-	return fmt.Errorf("unknown mode %q (want auto, exact, online, offline, ola, synopsis, or as-written)", m)
+	if err := aqp.CheckMode(req.Mode, req.Contract); err != nil {
+		return err
+	}
+	// Zero means "not given"; anything else must be a probability.
+	if req.RelError != 0 && !(req.RelError > 0 && req.RelError < 1) {
+		return fmt.Errorf("rel_error must be in (0,1), got %g", req.RelError)
+	}
+	if req.Confidence != 0 && !(req.Confidence > 0 && req.Confidence < 1) {
+		return fmt.Errorf("confidence must be in (0,1), got %g", req.Confidence)
+	}
+	return nil
+}
+
+// options maps the request onto the facade's query options.
+func (req QueryRequest) options() aqp.QueryOptions {
+	opts := aqp.QueryOptions{Mode: req.Mode, Contract: req.Contract}
+	if req.RelError > 0 {
+		opts.Spec = core.ErrorSpec{RelError: req.RelError, Confidence: req.Confidence}
+		if opts.Spec.Confidence <= 0 {
+			opts.Spec.Confidence = core.DefaultErrorSpec.Confidence
+		}
+	}
+	return opts
 }

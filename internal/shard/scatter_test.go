@@ -61,7 +61,7 @@ func direct(t *testing.T, ev *workload.Events, sql string) *exec.Result {
 		t.Fatal(err)
 	}
 	plan.ClearSamplers(p)
-	res, err := exec.RunParallel(p, 4)
+	res, err := exec.RunParallelContext(context.Background(), p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,12 +267,6 @@ func (s *LocalShard) extendBounds(v storage.Value) {
 	s.mu.Unlock()
 }
 
-// buildPlanMu serializes concurrent plan builds over a shared statement:
-// plan.Build assigns aggregate Slot numbers on the AST as a side effect,
-// and scatter legs all plan from the scatter's one statement. The writes
-// are idempotent, but idempotent data races are still data races.
-var buildPlanMu sync.Mutex
-
 // BuildShardQueryPlan builds q's plan against a shard's table. The table
 // is registered in a private catalog under the statement's FROM name, so
 // the statement resolves unchanged, and q.Sample (already shard-resolved)
@@ -287,9 +281,7 @@ func BuildShardQueryPlan(q Query, t *storage.Table) (plan.Node, error) {
 	if err := cat.AddAs(q.Stmt.From.Name, t); err != nil {
 		return nil, err
 	}
-	buildPlanMu.Lock()
 	p, err := plan.Build(q.Stmt, cat)
-	buildPlanMu.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,8 @@ type AggExpr struct {
 	Distinct bool
 	// Param is PERCENTILE's quantile in (0, 1).
 	Param float64
-	// Slot is assigned by the planner: the index of this aggregate's
-	// output among the query's aggregates.
+	// Slot is assigned by Parse: the index of this aggregate's output
+	// among the query's aggregates (its position in Aggregates()).
 	Slot int
 }
 
@@ -237,7 +237,9 @@ type SelectStmt struct {
 }
 
 // Aggregates returns all AggExpr nodes in the select items and HAVING
-// clause, in traversal order, assigning Slot numbers as a side effect.
+// clause, in traversal order; each one's Slot is its index in the list.
+// It only reads the statement, so a parsed statement can be planned and
+// executed from many goroutines at once.
 func (s *SelectStmt) Aggregates() []*AggExpr {
 	var aggs []*AggExpr
 	collect := func(e expr.Expr) {
@@ -246,7 +248,6 @@ func (s *SelectStmt) Aggregates() []*AggExpr {
 		}
 		e.Walk(func(n expr.Expr) {
 			if a, ok := n.(*AggExpr); ok {
-				a.Slot = len(aggs)
 				aggs = append(aggs, a)
 			}
 		})

@@ -29,6 +29,11 @@ func Parse(input string) (*SelectStmt, error) {
 	}
 	stmt.Explain = explain
 	stmt.Analyze = analyze
+	// Number the aggregates here, once: nothing downstream writes to the
+	// statement, so it is safe to share across goroutines.
+	for i, a := range stmt.Aggregates() {
+		a.Slot = i
+	}
 	// Allow a trailing semicolon.
 	p.acceptSymbol(";")
 	if !p.atEOF() {

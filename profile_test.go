@@ -46,7 +46,7 @@ func profileDB(t *testing.T) *DB {
 
 func TestExplainReturnsPlanWithoutExecuting(t *testing.T) {
 	db := profileDB(t)
-	res, err := db.Query("EXPLAIN SELECT SUM(x) FROM t WHERE x > 10 GROUP BY g")
+	res, err := db.Query(context.Background(), "EXPLAIN SELECT SUM(x) FROM t WHERE x > 10 GROUP BY g", QueryOptions{Mode: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestExplainReturnsPlanWithoutExecuting(t *testing.T) {
 func TestExplainAnalyzeParallelProfile(t *testing.T) {
 	db := profileDB(t)
 	ctx := exec.ContextWithWorkers(context.Background(), 4)
-	res, err := db.QueryContext(ctx, "EXPLAIN ANALYZE SELECT SUM(x), COUNT(*) FROM t WHERE x > 10 GROUP BY g")
+	res, err := db.Query(ctx, "EXPLAIN ANALYZE SELECT SUM(x), COUNT(*) FROM t WHERE x > 10 GROUP BY g", QueryOptions{Mode: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +93,24 @@ func TestExplainAnalyzeParallelProfile(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeFailureEndsSpan checks that a failing EXPLAIN ANALYZE
+// still ends its query span in the caller's tracer, so the profile shows
+// how long the failed query ran instead of a zero duration.
+func TestExplainAnalyzeFailureEndsSpan(t *testing.T) {
+	db := profileDB(t)
+	ctx, prof := WithProfile(context.Background())
+	if _, err := db.Query(ctx, "EXPLAIN ANALYZE SELECT SUM(nope) FROM t", QueryOptions{Mode: "exact"}); err == nil {
+		t.Fatal("unknown column must fail")
+	}
+	p := prof.Profile()
+	if p == nil || len(p.Children) != 1 || p.Children[0].Name != "query" {
+		t.Fatalf("want one query span under the caller's root:\n%s", p)
+	}
+	if d := p.Children[0].DurationMS; d <= 0 {
+		t.Fatalf("failed query span duration = %v ms, want > 0:\n%s", d, p)
+	}
+}
+
 // TestTracedParallelDeterminism is the acceptance bar for observability:
 // with tracing enabled, a 1-worker and a 4-worker run of the same
 // aggregate produce bit-identical rows.
@@ -103,7 +121,7 @@ func TestTracedParallelDeterminism(t *testing.T) {
 	run := func(workers int) *Result {
 		ctx, prof := WithProfile(context.Background())
 		ctx = exec.ContextWithWorkers(ctx, workers)
-		res, err := db.QueryContext(ctx, sql)
+		res, err := db.Query(ctx, sql, QueryOptions{Mode: "exact"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +155,10 @@ func TestTracedParallelDeterminism(t *testing.T) {
 }
 
 // TestProfileDisabledUnchanged checks queries without tracing or EXPLAIN
-// still behave identically (guard against runStatement regressions).
+// still behave identically (guard against QueryStmt regressions).
 func TestProfileDisabledUnchanged(t *testing.T) {
 	db := profileDB(t)
-	res, err := db.Query("SELECT COUNT(*) FROM t")
+	res, err := db.Query(context.Background(), "SELECT COUNT(*) FROM t", QueryOptions{Mode: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
