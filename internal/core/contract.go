@@ -183,18 +183,17 @@ func stampInfeasible(d *Diagnostics, sum *contract.Summary) {
 func exactContract(ctx context.Context, eng *ExactEngine, stmt *sqlparse.SelectStmt,
 	spec ErrorSpec, cfg ContractConfig, why string) (*Result, error) {
 
-	res, err := eng.ExecuteContext(ctx, stmt, spec)
+	reason := "answered exactly (" + why + "); the contract holds trivially"
+	res, err := exactFallback(ctx, eng, stmt, spec, "contract: "+reason)
 	if err != nil {
 		return nil, err
 	}
 	sum := newContractSummary(spec, cfg)
 	sum.FinalFraction = 1
 	sum.FinalRows = res.Diagnostics.Counters.RowsScanned
-	sum.Reason = "answered exactly (" + why + "); the contract holds trivially"
+	sum.Reason = reason
 	sum.Conclude(0, false)
 	res.Diagnostics.Contract = sum
-	res.Diagnostics.FellBackToExact = true
-	res.Diagnostics.Messages = append(res.Diagnostics.Messages, "contract: "+sum.Reason)
 	return res, nil
 }
 
@@ -240,92 +239,20 @@ func (e *OnlineEngine) ExecuteContract(ctx context.Context, stmt *sqlparse.Selec
 	if !planned {
 		return exactContract(ctx, e.exactEngine(), stmt, spec, cfg, "no table worth sampling")
 	}
-	pop := sampledRows(p)
-	pr := cfg.pilotRate(pop)
+	pr := cfg.pilotRate(sampledRows(p))
 	workers := resolveWorkers(ctx, p, e.Config.Workers)
 	esp.SetAttrInt("workers", int64(workers))
 
-	if g := shardGroupFor(e.Shards, stmt); g != nil && exec.Gatherable(p) {
-		return e.executeContractSharded(ctx, g, stmt, p, spec, cfg, pr, notes, workers, start)
-	}
+	r := newPlanRunner(e.Shards, stmt, p)
 
-	// Stage one: pilot at the pilot fraction with the engine seed.
+	// Stage one: pilot at the pilot fraction with the engine seed. A
+	// scattered pilot keeps per-shard moments for the Neyman split, and
+	// merging its partials in shard order composes the stratified
+	// variance sizing needs.
 	setPlanSamplers(p, pr, e.Config.Seed)
-	psp, pctx := trace.StartSpan(ctx, "contract pilot")
-	praw, err := exec.RunParallelContext(pctx, p, workers)
+	psp, pctx := r.span(ctx, "contract pilot")
+	prun, err := r.run(pctx, p, workers, func(o *shard.ExecOptions) { o.CollectMoments = true })
 	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	pilot := annotate(stmt, praw, spec, TechniqueOnline, GuaranteeAPosteriori)
-	ests, badName := contractEstimates(pilot)
-	sz, rate2 := sizeContract(ests, badName, pr, spec, cfg)
-
-	sum := newContractSummary(spec, cfg)
-	sum.PilotRows = praw.Counters.RowsEmitted
-	sum.PilotFraction = pr
-	sum.RequiredFraction = sz.RequiredRate
-	sum.FinalFraction = rate2
-	sum.Infeasible = !sz.Feasible
-	sum.Reason = sz.Reason
-
-	// Stage two: independent seed, sized fraction, same plan.
-	setPlanSamplers(p, rate2, contractStageSeed(e.Config.Seed))
-	ssp, sctx := trace.StartSpan(ctx, "contract stage two")
-	raw2, err := exec.RunParallelContext(sctx, p, workers)
-	ssp.End()
-	if err != nil {
-		return nil, err
-	}
-	guarantee := GuaranteeAPriori
-	if !sz.Feasible {
-		guarantee = GuaranteeAPosteriori
-	}
-	out := annotate(stmt, raw2, spec, TechniqueOnline, guarantee)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.SampleFraction = sampleFraction(raw2.Counters, pop)
-	out.Diagnostics.Counters.Add(praw.Counters)
-	out.Diagnostics.Counters.Passes = 2
-	out.Diagnostics.Workers = workers
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-	sum.FinalRows = raw2.Counters.RowsEmitted
-	sum.Conclude(out.MaxRelHalfWidth(), out.Diagnostics.Degraded || out.Diagnostics.Partial)
-	out.Diagnostics.Contract = sum
-	stampInfeasible(&out.Diagnostics, sum)
-	out.Diagnostics.Latency = time.Since(start)
-	esp.SetAttrFloat("final_fraction", rate2)
-	return out, nil
-}
-
-// executeContractSharded is the scatter-gather contract path: the pilot
-// scatters at the pilot fraction collecting per-shard slot moments, the
-// composed (merged-in-shard-order) pilot sizes stage two exactly like the
-// unsharded path — merging HT partials is stratified composition, so the
-// composed variance is the one sizing needs — and the sized row budget is
-// split across shards Neyman-style from the per-shard pilot spreads.
-// With one shard the Neyman step is skipped entirely (nil ShardRates), so
-// execution stays bit-identical to the unsharded engine.
-func (e *OnlineEngine) executeContractSharded(ctx context.Context, g *shard.Group,
-	stmt *sqlparse.SelectStmt, p plan.Node, spec ErrorSpec, cfg ContractConfig,
-	pr float64, notes []string, workers int, start time.Time) (*Result, error) {
-
-	var base *sample.Spec
-	for _, s := range plan.Scans(p) {
-		if s.Sample != nil {
-			base = s.Sample
-			break
-		}
-	}
-	if base == nil {
-		return exactContract(ctx, e.exactEngine(), stmt, spec, cfg, "no sampler placed")
-	}
-
-	// Stage one: scatter the pilot, keeping per-shard moments.
-	pilotSmp := *base
-	pilotSmp.Rate = pr
-	pilotSmp.Seed = e.Config.Seed
-	prun, err := runSharded(ctx, g, stmt, p, &pilotSmp, workers,
-		func(o *shard.ExecOptions) { o.CollectMoments = true })
 	if err != nil {
 		return nil, err
 	}
@@ -354,51 +281,14 @@ func (e *OnlineEngine) executeContractSharded(ctx context.Context, g *shard.Grou
 	sum.FinalFraction = rate2
 	sum.Infeasible = !sz.Feasible
 	sum.Reason = sz.Reason
+	shardRates := neymanShardRates(r.g, prun, rate2)
 
-	// Neyman allocation across shards from the pilot's per-shard spreads.
-	// Skipped for a single shard (bit-identity with unsharded) and when
-	// the pilot is missing any shard's moments.
-	var shardRates []float64
-	if g.NumShards() > 1 && !prun.degraded && len(prun.moments) == g.NumShards() {
-		strata := make([]contract.ShardStratum, g.NumShards())
-		usable := true
-		var totalRows float64
-		for h := range strata {
-			rows := 0.0
-			if h < len(prun.rows) {
-				rows = float64(prun.rows[h])
-			}
-			totalRows += rows
-			strata[h].Rows = rows
-			// Per-row spread: Var(Ŝ_h) ≈ N_h²·s_h²·(1−f)/k_h at the pilot,
-			// so s_h ≈ sqrt(V_h·k_h)/N_h; the binding slot's spread drives
-			// the allocation. Pruned shards (nil moments) provably hold no
-			// matching rows: spread 0 earns them the minimum allocation.
-			if ms := prun.moments[h]; ms != nil && rows > 0 {
-				for _, m := range ms {
-					if m.Variance > 0 && m.N > 0 {
-						s := math.Sqrt(m.Variance*m.N) / rows
-						if s > strata[h].StdDev {
-							strata[h].StdDev = s
-						}
-					}
-				}
-			} else if ms == nil && !shardPruned(prun.summary, h) {
-				usable = false
-			}
-		}
-		if usable && totalRows > 0 {
-			shardRates = contract.AllocateShards(strata, rate2*totalRows)
-		}
-	}
-
-	// Stage two: scatter at the sized fraction with an independent seed,
-	// per-shard rates when Neyman applies.
-	stageSmp := *base
-	stageSmp.Rate = rate2
-	stageSmp.Seed = contractStageSeed(e.Config.Seed)
-	srun, err := runSharded(ctx, g, stmt, p, &stageSmp, workers,
-		func(o *shard.ExecOptions) { o.ShardRates = shardRates })
+	// Stage two: independent seed, sized fraction, same plan; scattered
+	// with per-shard rates when Neyman applies.
+	setPlanSamplers(p, rate2, contractStageSeed(e.Config.Seed))
+	ssp, sctx := r.span(ctx, "contract stage two")
+	srun, err := r.run(sctx, p, workers, func(o *shard.ExecOptions) { o.ShardRates = shardRates })
+	ssp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -411,23 +301,66 @@ func (e *OnlineEngine) executeContractSharded(ctx context.Context, g *shard.Grou
 	}
 	out := annotate(stmt, srun.raw, spec, TechniqueOnline, guarantee)
 	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, srun.messages...)
+	srun.stamp(&out.Diagnostics)
 	out.Diagnostics.SampleFraction = sampleFraction(srun.raw.Counters, srun.sampledPop)
 	out.Diagnostics.Counters.Add(prun.raw.Counters)
 	out.Diagnostics.Counters.Passes = 2
 	out.Diagnostics.Workers = workers
-	out.Diagnostics.Degraded = srun.degraded
-	out.Diagnostics.Shards = srun.summary
 	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
 	sum.FinalRows = srun.raw.Counters.RowsEmitted
 	sum.ShardFractions = shardRates
 	// A stage two that lost shards — even extrapolated over — can never
 	// certify the a-priori promise.
-	sum.Conclude(out.MaxRelHalfWidth(), srun.degraded || srun.summary.Extrapolated)
+	sum.Conclude(out.MaxRelHalfWidth(), srun.degraded)
 	out.Diagnostics.Contract = sum
 	stampInfeasible(&out.Diagnostics, sum)
 	out.Diagnostics.Latency = time.Since(start)
+	if r.local() {
+		// A scatter may split rate2 into per-shard rates (ShardFractions).
+		esp.SetAttrFloat("final_fraction", rate2)
+	}
 	return out, nil
+}
+
+// neymanShardRates splits the sized stage-two row budget across the
+// group's shards Neyman-style from the pilot's per-shard spreads. It
+// returns nil — every shard at the common rate — for a local run and for
+// a single shard (so execution stays bit-identical to the unsharded
+// engine), and when the pilot is missing any shard's moments.
+func neymanShardRates(g *shard.Group, prun *planRun, rate2 float64) []float64 {
+	if g == nil || g.NumShards() <= 1 || prun.degraded || len(prun.moments) != g.NumShards() {
+		return nil
+	}
+	strata := make([]contract.ShardStratum, g.NumShards())
+	var totalRows float64
+	for h := range strata {
+		rows := 0.0
+		if h < len(prun.rows) {
+			rows = float64(prun.rows[h])
+		}
+		totalRows += rows
+		strata[h].Rows = rows
+		// Per-row spread: Var(Ŝ_h) ≈ N_h²·s_h²·(1−f)/k_h at the pilot,
+		// so s_h ≈ sqrt(V_h·k_h)/N_h; the binding slot's spread drives
+		// the allocation. Pruned shards (nil moments) provably hold no
+		// matching rows: spread 0 earns them the minimum allocation.
+		if ms := prun.moments[h]; ms != nil && rows > 0 {
+			for _, m := range ms {
+				if m.Variance > 0 && m.N > 0 {
+					s := math.Sqrt(m.Variance*m.N) / rows
+					if s > strata[h].StdDev {
+						strata[h].StdDev = s
+					}
+				}
+			}
+		} else if ms == nil && !shardPruned(prun.summary, h) {
+			return nil
+		}
+	}
+	if totalRows <= 0 {
+		return nil
+	}
+	return contract.AllocateShards(strata, rate2*totalRows)
 }
 
 // shardPruned reports whether shard h was pruned in the summary.

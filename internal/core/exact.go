@@ -58,42 +58,40 @@ func (e *ExactEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.SelectS
 	workers := resolveWorkers(ctx, p, e.Workers)
 	esp.SetAttrInt("workers", int64(workers))
 
-	if g := shardGroupFor(e.Shards, stmt); g != nil && exec.Gatherable(p) {
-		run, err := runSharded(ctx, g, stmt, p, nil, workers)
-		if err != nil {
-			return nil, err
-		}
-		asp, _ := trace.StartSpan(ctx, "estimate")
-		guarantee := GuaranteeExact
-		if run.degraded {
-			// A degraded exact run is missing rows with no variance model
-			// to account for them: no defensible error statement exists.
-			guarantee = GuaranteeNone
-		}
-		out := annotate(stmt, run.raw, spec, TechniqueExact, guarantee)
-		asp.End()
-		out.Diagnostics.Latency = time.Since(start)
-		out.Diagnostics.SampleFraction = 1
-		out.Diagnostics.Workers = workers
-		out.Diagnostics.Degraded = run.degraded
-		out.Diagnostics.Shards = run.summary
-		out.Diagnostics.Messages = append(out.Diagnostics.Messages, run.messages...)
-		stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-		return out, nil
-	}
-
-	res, err := exec.RunParallelContext(ctx, p, workers)
+	run, err := newPlanRunner(e.Shards, stmt, p).run(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
 	asp, _ := trace.StartSpan(ctx, "estimate")
-	out := annotate(stmt, res, spec, TechniqueExact, GuaranteeExact)
+	guarantee := GuaranteeExact
+	if run.degraded {
+		// A degraded exact run is missing rows with no variance model
+		// to account for them: no defensible error statement exists.
+		guarantee = GuaranteeNone
+	}
+	out := annotate(stmt, run.raw, spec, TechniqueExact, guarantee)
 	asp.End()
 	out.Diagnostics.Latency = time.Since(start)
 	out.Diagnostics.SampleFraction = 1
 	out.Diagnostics.Workers = workers
+	run.stamp(&out.Diagnostics)
 	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
 	return out, nil
+}
+
+// exactFallback answers stmt on the exact engine for an approximate
+// engine that declined to approximate, flagging the result and appending
+// the engine's notes on why.
+func exactFallback(ctx context.Context, eng *ExactEngine, stmt *sqlparse.SelectStmt,
+	spec ErrorSpec, notes ...string) (*Result, error) {
+
+	res, err := eng.ExecuteContext(ctx, stmt, spec)
+	if err != nil {
+		return nil, err
+	}
+	res.Diagnostics.FellBackToExact = true
+	res.Diagnostics.Messages = append(res.Diagnostics.Messages, notes...)
+	return res, nil
 }
 
 // ExecuteAsWrittenContext runs a statement honoring its TABLESAMPLE

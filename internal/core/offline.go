@@ -498,24 +498,22 @@ func (e *OfflineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Selec
 	if !spec.Valid() {
 		spec = DefaultErrorSpec
 	}
-	fallback := func(reason string, stale bool) (*Result, error) {
-		res, err := (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).ExecuteContext(ctx, stmt, spec)
+	fallback := func(reason string) (*Result, error) {
+		res, err := exactFallback(ctx, &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers},
+			stmt, spec, "offline: "+reason)
 		if err != nil {
 			return nil, err
 		}
-		res.Diagnostics.FellBackToExact = true
-		res.Diagnostics.Stale = stale
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, "offline: "+reason)
 		res.Diagnostics.Latency = time.Since(start)
 		return res, nil
 	}
 
 	if ok, reason := supportedForSampling(stmt); !ok {
-		return fallback("fell back to exact: "+reason, false)
+		return fallback("fell back to exact: " + reason)
 	}
 	table := stmt.From.Name
 	if len(e.Samples(table)) == 0 {
-		return fallback("no samples for table "+table, false)
+		return fallback("no samples for table " + table)
 	}
 	qcs := e.queryQCS(stmt)
 	key := profileKey(table, qcs)
@@ -548,7 +546,7 @@ func (e *OfflineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Selec
 	}
 	selsp.End()
 	if best == nil {
-		return fallback("no certified sample for spec (unpredicted QCS, too-tight spec, or stale samples)", false)
+		return fallback("no certified sample for spec (unpredicted QCS, too-tight spec, or stale samples)")
 	}
 
 	raw, err := e.executeOn(ctx, best.s, stmt)

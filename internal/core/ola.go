@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -141,15 +139,9 @@ func (e *OLAEngine) ExecuteProgressiveContext(ctx context.Context, stmt *sqlpars
 	if !spec.Valid() {
 		spec = DefaultErrorSpec
 	}
-	ok, reason := e.supported(stmt)
-	if !ok {
-		res, err := (&ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers}).ExecuteContext(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.FellBackToExact = true
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, "ola: fell back to exact: "+reason)
-		return res, nil
+	if ok, reason := e.supported(stmt); !ok {
+		return exactFallback(ctx, &ExactEngine{Catalog: e.Catalog, Workers: e.Config.Workers},
+			stmt, spec, "ola: fell back to exact: "+reason)
 	}
 	setupSp, _ := trace.StartSpan(ctx, "setup")
 	t, err := e.Catalog.Table(stmt.From.Name)
@@ -254,7 +246,7 @@ func (e *OLAEngine) ExecuteProgressiveContext(ctx context.Context, stmt *sqlpars
 			if err := injectOLAChunk.Inject(); err != nil {
 				return err
 			}
-			return processOLAChunk(q, groups, read, chunkEnd, workers)
+			return processOLAChunk(ctx, q, groups, read, chunkEnd, workers)
 		}()
 		if cerr != nil {
 			if read == 0 {
@@ -483,69 +475,20 @@ func (sh *olaShardState) flushFactRow() {
 
 // processOLAChunk consumes permuted positions [lo, hi), cut into fixed
 // olaShardRows shards. Each shard accumulates into a fresh olaShardState
-// and folds into groups in shard order; a single worker runs the shards
-// sequentially through the same code, so estimates are bit-identical for
-// every worker count. The chunk is bounded work: cancellation is observed
-// between chunks by the caller, preserving OLA's graceful degradation.
-func processOLAChunk(q *olaQuery, groups map[string]*olaGroup, lo, hi, workers int) error {
+// and folds into groups in shard order, so estimates are bit-identical for
+// every worker count. The chunk is bounded work: the shard tasks ignore
+// ctx, and cancellation is observed between chunks by the caller,
+// preserving OLA's graceful degradation.
+func processOLAChunk(ctx context.Context, q *olaQuery, groups map[string]*olaGroup, lo, hi, workers int) error {
 	nShards := (hi - lo + olaShardRows - 1) / olaShardRows
-	if workers > nShards {
-		workers = nShards
-	}
 	shards := make([]*olaShardState, nShards)
-	runShard := func(s int) error {
-		sh := newOLAShardState(q)
+	err := exec.ParallelFor(ctx, nShards, workers, func(_ context.Context, _, s int) error {
 		slo := lo + s*olaShardRows
-		shi := slo + olaShardRows
-		if shi > hi {
-			shi = hi
-		}
-		if err := sh.processPermRows(slo, shi); err != nil {
-			return err
-		}
-		shards[s] = sh
-		return nil
-	}
-	if workers <= 1 {
-		for s := 0; s < nShards; s++ {
-			if err := runShard(s); err != nil {
-				return err
-			}
-		}
-	} else {
-		var (
-			next     int64
-			wg       sync.WaitGroup
-			once     sync.Once
-			firstErr error
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Contain shard panics to this worker: the chunk fails with
-				// a typed error instead of the panic killing the process.
-				defer func() {
-					if r := recover(); r != nil {
-						once.Do(func() { firstErr = fault.AsError(r) })
-					}
-				}()
-				for {
-					s := int(atomic.AddInt64(&next, 1)) - 1
-					if s >= nShards {
-						return
-					}
-					if err := runShard(s); err != nil {
-						once.Do(func() { firstErr = err })
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
+		shards[s] = newOLAShardState(q)
+		return shards[s].processPermRows(slo, min(slo+olaShardRows, hi))
+	})
+	if err != nil {
+		return err
 	}
 	// Ordered reduction: shard-local sums fold in shard order.
 	for _, sh := range shards {
@@ -569,6 +512,14 @@ func processOLAChunk(q *olaQuery, groups map[string]*olaGroup, lo, hi, workers i
 func (e *OLAEngine) checkpoint(stmt *sqlparse.SelectStmt, aggs []*sqlparse.AggExpr,
 	groups map[string]*olaGroup, k, n int, spec ErrorSpec) *Result {
 
+	// The spec is met only once some group has been observed: an empty
+	// prefix says nothing about the rows not read yet.
+	specOK := len(groups) > 0
+	if len(groups) == 0 && len(stmt.GroupBy) == 0 {
+		// SQL semantics, as exact emits them: a global aggregate over no
+		// qualifying rows still yields its one row.
+		groups = map[string]*olaGroup{"": {aggs: make([]olaAgg, len(aggs))}}
+	}
 	keys := make([]string, 0, len(groups))
 	for key := range groups {
 		keys = append(keys, key)
@@ -584,7 +535,6 @@ func (e *OLAEngine) checkpoint(stmt *sqlparse.SelectStmt, aggs []*sqlparse.AggEx
 	if fpc < 0 {
 		fpc = 0
 	}
-	specOK := len(groups) > 0
 	for _, key := range keys {
 		g := groups[key]
 		row := make([]storage.Value, len(stmt.Items))
@@ -598,6 +548,9 @@ func (e *OLAEngine) checkpoint(stmt *sqlparse.SelectStmt, aggs []*sqlparse.AggEx
 				val := storage.Float64(est)
 				if node.Func == sqlparse.AggCount {
 					val = storage.Int64(int64(est + 0.5))
+				} else if a.n == 0 {
+					// SUM and AVG over no non-NULL value are NULL.
+					val = storage.NullValue(storage.TypeFloat64)
 				}
 				row[j] = val
 				iv := stats.CLTInterval(est, variance, math.Max(a.n, 2), conf)

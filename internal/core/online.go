@@ -211,14 +211,7 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 		spec = DefaultErrorSpec
 	}
 	if ok, reason := supportedForSampling(stmt); !ok {
-		res, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.FellBackToExact = true
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages,
-			"online: fell back to exact: "+reason)
-		return res, nil
+		return exactFallback(ctx, e.exactEngine(), stmt, spec, "online: fell back to exact: "+reason)
 	}
 
 	psp, _ := trace.StartSpan(ctx, "plan")
@@ -231,13 +224,7 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 	planned, notes := e.placeSamplers(stmt, p)
 	ssp.End()
 	if !planned {
-		res, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics.FellBackToExact = true
-		res.Diagnostics.Messages = append(res.Diagnostics.Messages, notes...)
-		return res, nil
+		return exactFallback(ctx, e.exactEngine(), stmt, spec, notes...)
 	}
 
 	// Selectivity guard: sampling a scan whose filter leaves too few
@@ -249,27 +236,20 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 			}
 			if q, ok := e.estimatedQualifyingRows(s); ok {
 				if expected := q * s.Sample.Rate; expected < e.Config.MinExpectedSampleRows {
-					res, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
-					if err != nil {
-						return nil, err
-					}
-					res.Diagnostics.FellBackToExact = true
-					res.Diagnostics.Messages = append(res.Diagnostics.Messages, fmt.Sprintf(
+					return exactFallback(ctx, e.exactEngine(), stmt, spec, fmt.Sprintf(
 						"online: selectivity guard — histogram predicts ~%.1f sampled qualifying rows on %s (< %g); running exactly",
 						expected, s.TableName, e.Config.MinExpectedSampleRows))
-					return res, nil
 				}
 			}
 		}
 	}
 
-	if g := shardGroupFor(e.Shards, stmt); g != nil && exec.Gatherable(p) {
-		// Sharded tables answer scatter-gather; the sample cache does not
-		// apply (each shard owns its own independently seeded sample).
-		return e.executeSharded(ctx, g, stmt, p, spec, notes, start)
-	}
-
-	if e.Config.CacheSamples {
+	// Sharded tables answer scatter-gather: the sampler placeSamplers
+	// chose is pushed to every shard with a shard-derived seed, and the
+	// sample cache does not apply (each shard owns its own independently
+	// seeded sample).
+	r := newPlanRunner(e.Shards, stmt, p)
+	if r.local() && e.Config.CacheSamples {
 		csp, cctx := trace.StartSpan(ctx, "sample-cache")
 		res, handled, err := e.tryCached(cctx, stmt, p, spec, notes, start)
 		csp.End()
@@ -279,54 +259,7 @@ func (e *OnlineEngine) ExecuteContext(ctx context.Context, stmt *sqlparse.Select
 	}
 
 	workers := resolveWorkers(ctx, p, e.Config.Workers)
-	esp.SetAttrInt("workers", int64(workers))
-	raw, err := exec.RunParallelContext(ctx, p, workers)
-	if err != nil {
-		return nil, err
-	}
-	asp, _ := trace.StartSpan(ctx, "estimate")
-	out := annotate(stmt, raw, spec, TechniqueOnline, GuaranteeAPosteriori)
-	asp.End()
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.SampleFraction = sampleFraction(raw.Counters, sampledRows(p))
-	out.Diagnostics.Workers = workers
-	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
-	esp.SetAttrFloat("sample_fraction", out.Diagnostics.SampleFraction)
-
-	if !out.Diagnostics.SpecSatisfied && e.Config.FallbackToExact {
-		exactRes, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
-		if err != nil {
-			return nil, err
-		}
-		exactRes.Diagnostics.Counters.Add(raw.Counters)
-		exactRes.Diagnostics.FellBackToExact = true
-		exactRes.Diagnostics.Messages = append(exactRes.Diagnostics.Messages,
-			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
-		exactRes.Diagnostics.Latency = time.Since(start)
-		return exactRes, nil
-	}
-	out.Diagnostics.Latency = time.Since(start)
-	return out, nil
-}
-
-// executeSharded runs the sampled plan scatter-gather over the shard
-// group. The sampler spec placeSamplers chose for the base plan is pushed
-// to every shard with a shard-derived seed; merging the per-shard partials
-// in shard order composes the stratified estimate losslessly, and the
-// finalize step reuses the base plan's above-aggregate chain — with one
-// shard, execution is bit-identical to the unsharded path.
-func (e *OnlineEngine) executeSharded(ctx context.Context, g *shard.Group, stmt *sqlparse.SelectStmt,
-	p plan.Node, spec ErrorSpec, notes []string, start time.Time) (*Result, error) {
-
-	workers := resolveWorkers(ctx, p, e.Config.Workers)
-	var smp *sample.Spec
-	for _, s := range plan.Scans(p) {
-		if s.Sample != nil {
-			smp = s.Sample
-			break
-		}
-	}
-	run, err := runSharded(ctx, g, stmt, p, smp, workers)
+	run, err := r.run(ctx, p, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -340,22 +273,23 @@ func (e *OnlineEngine) executeSharded(ctx context.Context, g *shard.Group, stmt 
 	out := annotate(stmt, run.raw, spec, TechniqueOnline, guarantee)
 	asp.End()
 	out.Diagnostics.Messages = append(out.Diagnostics.Messages, notes...)
-	out.Diagnostics.Messages = append(out.Diagnostics.Messages, run.messages...)
+	run.stamp(&out.Diagnostics)
 	out.Diagnostics.SampleFraction = sampleFraction(run.raw.Counters, run.sampledPop)
 	out.Diagnostics.Workers = workers
-	out.Diagnostics.Degraded = run.degraded
-	out.Diagnostics.Shards = run.summary
 	stampLineage(&out.Diagnostics, e.Catalog, stmt.From.Name)
+	if r.local() {
+		// A scatter's per-shard morsel spans carry workers and sampler.
+		esp.SetAttrInt("workers", int64(workers))
+		esp.SetAttrFloat("sample_fraction", out.Diagnostics.SampleFraction)
+	}
 
 	if !out.Diagnostics.SpecSatisfied && !run.degraded && e.Config.FallbackToExact {
-		exactRes, err := e.exactEngine().ExecuteContext(ctx, stmt, spec)
+		exactRes, err := exactFallback(ctx, e.exactEngine(), stmt, spec,
+			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
 		if err != nil {
 			return nil, err
 		}
 		exactRes.Diagnostics.Counters.Add(run.raw.Counters)
-		exactRes.Diagnostics.FellBackToExact = true
-		exactRes.Diagnostics.Messages = append(exactRes.Diagnostics.Messages,
-			"online: sampled CIs missed the spec; re-ran exactly (second pass)")
 		exactRes.Diagnostics.Latency = time.Since(start)
 		return exactRes, nil
 	}

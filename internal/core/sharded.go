@@ -9,6 +9,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/shard"
 	"repro/internal/sqlparse"
+	"repro/internal/trace"
 )
 
 // shardGroupFor returns the shard group the statement can scatter over,
@@ -22,22 +23,87 @@ func shardGroupFor(m *shard.Map, stmt *sqlparse.SelectStmt) *shard.Group {
 	return m.Get(stmt.From.Name)
 }
 
-// shardRun is the outcome of one scatter-gather execution, before engine
-// annotation.
-type shardRun struct {
-	raw     *exec.Result
+// planRunner runs one statement's plan, scattered over the statement's
+// shard group or locally on the morsel path. newPlanRunner is the one
+// place that decision is made; run returns a planRun of the same shape on
+// both paths, so each engine has one tail.
+type planRunner struct {
+	g    *shard.Group // nil: run locally
+	stmt *sqlparse.SelectStmt
+}
+
+// newPlanRunner scatters when the statement's table is sharded and the
+// plan has a shape the gather step can reassemble.
+func newPlanRunner(m *shard.Map, stmt *sqlparse.SelectStmt, p plan.Node) planRunner {
+	r := planRunner{stmt: stmt}
+	if g := shardGroupFor(m, stmt); g != nil && exec.Gatherable(p) {
+		r.g = g
+	}
+	return r
+}
+
+// local reports whether plans run locally rather than scattered.
+func (r planRunner) local() bool { return r.g == nil }
+
+// span opens a timed span for one stage of a local run; a scattered
+// stage is traced by its scatter span instead.
+func (r planRunner) span(ctx context.Context, name string) (*trace.Span, context.Context) {
+	if !r.local() {
+		return nil, ctx
+	}
+	return trace.StartSpan(ctx, name)
+}
+
+// run executes p once. Locally it runs on the morsel path and the sampled
+// population is every sampled table's rows. Scattered, each shard applies
+// the plan's sampler (if any) with an independently derived seed; opts
+// tune the scatter and are ignored locally.
+func (r planRunner) run(ctx context.Context, p plan.Node, workers int,
+	opts ...func(*shard.ExecOptions)) (*planRun, error) {
+
+	if r.local() {
+		raw, err := exec.RunParallelContext(ctx, p, workers)
+		if err != nil {
+			return nil, err
+		}
+		return &planRun{raw: raw, sampledPop: sampledRows(p)}, nil
+	}
+	var smp *sample.Spec
+	for _, s := range plan.Scans(p) {
+		if s.Sample != nil {
+			cp := *s.Sample
+			smp = &cp
+			break
+		}
+	}
+	return runSharded(ctx, r.g, r.stmt, p, smp, workers, opts...)
+}
+
+// planRun is the outcome of one plan execution, before engine
+// annotation. A local run leaves every shard field zero.
+type planRun struct {
+	raw *exec.Result
+	// summary describes the scatter; nil for a local run.
 	summary *ShardExecSummary
 	// messages are engine notes about degradation and extrapolation.
 	messages []string
 	degraded bool
-	// sampledPop is the population actually subject to sampling (covered
-	// rows), the denominator for SampleFraction.
+	// sampledPop is the population actually subject to sampling, the
+	// denominator for SampleFraction: the sampled tables' rows locally,
+	// the covered rows of a sampled scatter.
 	sampledPop int64
 	// moments holds per-shard slot moments (contract pilots only; nil
 	// entries mark failed/pruned shards), and rows the matching per-shard
 	// populations in shard order.
 	moments [][]exec.SlotMoment
 	rows    []int
+}
+
+// stamp records the run's shard outcome in the diagnostics.
+func (run *planRun) stamp(d *Diagnostics) {
+	d.Messages = append(d.Messages, run.messages...)
+	d.Degraded = run.degraded
+	d.Shards = run.summary
 }
 
 // runSharded scatters the statement over the group and finalizes the
@@ -54,7 +120,7 @@ type shardRun struct {
 // systematic gaps and exact runs carry no variance to widen, so neither
 // extrapolates; the caller downgrades the guarantee instead.
 func runSharded(ctx context.Context, g *shard.Group, stmt *sqlparse.SelectStmt, p plan.Node,
-	smp *sample.Spec, workers int, opts ...func(*shard.ExecOptions)) (*shardRun, error) {
+	smp *sample.Spec, workers int, opts ...func(*shard.ExecOptions)) (*planRun, error) {
 
 	eo := shard.ExecOptions{
 		Workers:       workers,
@@ -84,7 +150,7 @@ func runSharded(ctx context.Context, g *shard.Group, stmt *sqlparse.SelectStmt, 
 		sum.CoverageFraction = float64(sres.CoveredRows) / float64(sres.TotalRows)
 	}
 
-	run := &shardRun{summary: sum, degraded: sres.Degraded(),
+	run := &planRun{summary: sum, degraded: sres.Degraded(),
 		moments: sres.ShardMoments, rows: sum.RowsPerShard}
 	if smp != nil {
 		run.sampledPop = int64(sres.CoveredRows)

@@ -12,13 +12,18 @@ import (
 	"repro/internal/storage"
 )
 
-// hashAggOp groups rows and computes (possibly weighted) aggregates. When
-// any input row carries a weight != 1 the outputs are Horvitz–Thompson
-// estimates, and per-group variance estimates are published in the batch's
-// Details for downstream confidence-interval construction.
-type hashAggOp struct {
-	node  *plan.Aggregate
-	child Op
+// aggOp is the one aggregate operator: it groups rows and computes
+// (possibly weighted) aggregates. When any input row carries a weight != 1
+// the outputs are Horvitz–Thompson estimates, and per-group variance
+// estimates are published in the batch's Details for downstream
+// confidence-interval construction. Its group states come from exactly
+// one source: the serial child operators (child), the fused morsel
+// pipeline (morsel), or an already-merged partial (part).
+type aggOp struct {
+	node   *plan.Aggregate
+	child  Op
+	morsel *morselAgg
+	part   *AggPartial
 
 	done bool
 }
@@ -41,27 +46,56 @@ type groupState struct {
 	n        float64
 }
 
+// inputRows implements inputRowsReporter: the fused morsel pipeline scans
+// its own table, so its rows-in are not visible from a child span.
+func (op *aggOp) inputRows() (int64, bool) {
+	if op.morsel == nil {
+		return 0, false
+	}
+	return op.morsel.scanned, true
+}
+
 // Schema implements Operator.
-func (op *hashAggOp) Schema() storage.Schema { return op.node.Schema() }
+func (op *aggOp) Schema() storage.Schema { return op.node.Schema() }
 
 // Open implements Operator.
-func (op *hashAggOp) Open() error { return op.child.Open() }
+func (op *aggOp) Open() error {
+	if op.child == nil {
+		return nil
+	}
+	return op.child.Open()
+}
 
 // Close implements Operator.
-func (op *hashAggOp) Close() error { return op.child.Close() }
+func (op *aggOp) Close() error {
+	if op.child == nil {
+		return nil
+	}
+	return op.child.Close()
+}
 
-// Next implements Operator.
-func (op *hashAggOp) Next() (*Batch, error) {
+// groups returns the accumulated, not yet finalized group states.
+func (op *aggOp) groups() (map[string]*groupState, error) {
+	switch {
+	case op.morsel != nil:
+		return op.morsel.computeGroups()
+	case op.part != nil:
+		return op.part.groups, nil
+	}
+	return drainIntoGroups(op.node, op.child)
+}
+
+// Next implements Operator. The single call computes every group and
+// returns the finalized output batch.
+func (op *aggOp) Next() (*Batch, error) {
 	if op.done {
 		return nil, nil
 	}
 	op.done = true
-
-	groups := make(map[string]*groupState)
-	if err := drainIntoGroups(op.node, op.child, groups); err != nil {
+	groups, err := op.groups()
+	if err != nil {
 		return nil, err
 	}
-
 	out := finalizeGroups(op.node, groups)
 	if out.Len() == 0 {
 		return nil, nil
@@ -69,25 +103,25 @@ func (op *hashAggOp) Next() (*Batch, error) {
 	return out, nil
 }
 
-// drainIntoGroups drains child, accumulating every row into the group
-// states. Shared by the serial hash aggregate and the per-shard partial
-// executor (which finalizes only after merging partials across shards).
-func drainIntoGroups(node *plan.Aggregate, child Op, groups map[string]*groupState) error {
+// drainIntoGroups drains child, accumulating every row into group
+// states: the serial source of aggOp.
+func drainIntoGroups(node *plan.Aggregate, child Op) (map[string]*groupState, error) {
+	groups := make(map[string]*groupState)
 	keyBuf := make([]storage.Value, len(node.GroupBy))
 	for {
 		in, err := child.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if in == nil {
-			return nil
+			return groups, nil
 		}
 		for i, row := range in.Rows {
 			r := expr.ValuesRow(row)
 			for k, ge := range node.GroupBy {
 				v, err := ge.Eval(r)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				keyBuf[k] = v
 			}
@@ -101,7 +135,7 @@ func drainIntoGroups(node *plan.Aggregate, child Op, groups map[string]*groupSta
 			gs.n++
 			for j, spec := range node.Aggs {
 				if err := accumulate(gs.aggs[j], spec, r, w); err != nil {
-					return err
+					return nil, err
 				}
 			}
 		}
@@ -109,8 +143,7 @@ func drainIntoGroups(node *plan.Aggregate, child Op, groups map[string]*groupSta
 }
 
 // finalizeGroups renders accumulated group states to an output batch with
-// per-group statistical details, ordered by canonical group key. Shared
-// by the serial hash aggregate and the morsel-parallel operator.
+// per-group statistical details, ordered by canonical group key.
 func finalizeGroups(node *plan.Aggregate, groups map[string]*groupState) *Batch {
 	// SQL semantics: a global aggregate over empty input yields one row.
 	if len(groups) == 0 && len(node.GroupBy) == 0 {

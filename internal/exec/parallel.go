@@ -80,76 +80,63 @@ func ResolveWorkers(ctx context.Context, hint int) int {
 
 // RunParallelContext executes a logical plan under ctx, running eligible
 // aggregate-over-scan subtrees on the morsel-parallel path with the given
-// worker count (≤ 0 resolves via ResolveWorkers). Plans with no eligible
-// subtree run on the serial operators; results are identical either way
-// up to float summation order.
+// worker count (≤ 0 resolves via ResolveWorkers). Ineligible shapes (joins
+// below the aggregate, the stateful distinct sampler) drain the serial
+// operators; results are identical either way up to float summation order.
 func RunParallelContext(ctx context.Context, root plan.Node, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = ResolveWorkers(ctx, 0)
 	}
 	var counters Counters
-	op, err := buildParallelOperator(ctx, root, &counters, workers)
-	if err != nil {
-		return nil, err
-	}
-	return drainOperator(ctx, op, root.Schema(), &counters)
+	return (&builder{counters: &counters, workers: workers}).run(ctx, root)
 }
 
-// buildParallelOperator mirrors BuildOperatorContext but replaces each
-// eligible Aggregate subtree with the fused morsel-parallel operator.
-// Ineligible shapes (joins below the aggregate, the stateful distinct
-// sampler) fall back to the serial operators. Span creation happens per
-// case (not in a shared wrapper) because the default case delegates to
-// BuildOperatorContext, which opens its own span for the node.
-func buildParallelOperator(ctx context.Context, n plan.Node, counters *Counters, workers int) (Operator, error) {
-	switch t := n.(type) {
-	case *plan.Aggregate:
-		if scan, residual, ok := morselEligible(t); ok {
-			sp, _ := trace.StartOp(ctx, t.Explain()+" [morsel]")
-			op, err := newMorselAggOp(ctx, t, scan, residual, counters, workers)
-			if err != nil {
-				return nil, err
-			}
-			op.sp = sp
-			sp.SetAttr("scan", scan.Explain())
-			return wrapOp(op, sp), nil
-		}
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&hashAggOp{node: t, child: child}, sp), nil
-	case *plan.Filter:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&filterOp{child: child, pred: t.Pred}, sp), nil
-	case *plan.Project:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&projectOp{child: child, node: t, schema: t.Schema()}, sp), nil
-	case *plan.Sort:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&sortOp{node: t, child: child}, sp), nil
-	case *plan.Limit:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildParallelOperator(cctx, t.Child, counters, workers)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&limitOp{child: child, n: t.N}, sp), nil
+// ParallelFor runs task(ctx, w, i) for every i in [0, n) on up to workers
+// goroutines; worker w claims indexes from a shared counter. Tasks write
+// their outputs into per-index slots, so the caller folds them in index
+// order whatever the worker count. The first failure wins: an error, or a
+// panic recovered and converted by fault.AsError so a bug fails only its
+// query. It cancels the ctx handed to the tasks, and ParallelFor returns
+// it after every worker has exited. ParallelFor never checks ctx itself,
+// so a task that ignores ctx runs to completion.
+func ParallelFor(ctx context.Context, n, workers int, task func(ctx context.Context, w, i int) error) error {
+	if workers > n {
+		workers = n
 	}
-	return BuildOperatorContext(ctx, n, counters)
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next     int64
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	fail := func(err error) {
+		once.Do(func() { firstErr = err; cancel() })
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					fail(fault.AsError(r))
+				}
+			}()
+			for {
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				if i >= n {
+					return
+				}
+				if err := task(runCtx, w, i); err != nil {
+					fail(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // morselEligible reports whether the aggregate sits on a Filter*→Scan
@@ -179,10 +166,11 @@ func morselEligible(a *plan.Aggregate) (*plan.Scan, []expr.Expr, bool) {
 	}
 }
 
-// morselAggOp is the fused parallel operator: per morsel it scans,
-// filters, samples, and partially aggregates without materializing
-// intermediate batches, then merges partials deterministically.
-type morselAggOp struct {
+// morselAgg is the fused morsel pipeline, aggOp's parallel source of
+// group states: per morsel it scans, filters, samples, and partially
+// aggregates without materializing intermediate batches, then merges
+// partials deterministically.
+type morselAgg struct {
 	ctx      context.Context
 	node     *plan.Aggregate
 	scan     *plan.Scan
@@ -190,19 +178,12 @@ type morselAggOp struct {
 	counters *Counters
 	workers  int
 
-	outIdx    []int // table column index per scan output column
-	weightIdx int   // hidden weight column in table, or -1
-	keyIdx    []int // sampler key columns in table
-
-	kern morselKernels // compiled against the snapshot in Next
-	done bool
+	outIdx []int         // table column index per scan output column
+	kern   morselKernels // compiled against the snapshot in computeGroups
 
 	sp      *trace.Span // operator span, nil when tracing is off
 	scanned int64       // total rows examined across workers
 }
-
-// inputRows implements inputRowsReporter.
-func (op *morselAggOp) inputRows() int64 { return op.scanned }
 
 // Aggregate-slot fast-path modes; slotGeneral falls back to accumulate.
 const (
@@ -228,7 +209,7 @@ type morselKernels struct {
 
 // compileKernels compiles what it can of the pipeline against a concrete
 // table snapshot.
-func (op *morselAggOp) compileKernels(t *storage.Table) morselKernels {
+func (op *morselAgg) compileKernels(t *storage.Table) morselKernels {
 	k := morselKernels{
 		residual: make([]boolKernel, len(op.residual)),
 		groupCol: make([]int, len(op.node.GroupBy)),
@@ -283,40 +264,14 @@ func (op *morselAggOp) compileKernels(t *storage.Table) morselKernels {
 	return k
 }
 
-func newMorselAggOp(ctx context.Context, a *plan.Aggregate, s *plan.Scan, residual []expr.Expr, counters *Counters, workers int) (*morselAggOp, error) {
-	op := &morselAggOp{
-		ctx: ctx, node: a, scan: s, residual: residual,
-		counters: counters, workers: workers,
-		weightIdx: s.WeightColumnIndex(),
+func newMorselAgg(ctx context.Context, a *plan.Aggregate, s *plan.Scan, residual []expr.Expr, counters *Counters, workers int) (*morselAgg, error) {
+	src, err := newScanSource(s)
+	if err != nil {
+		return nil, err
 	}
-	tschema := s.Table.Schema()
-	for _, def := range s.Schema() {
-		idx := tschema.ColumnIndex(def.Name)
-		if idx < 0 {
-			return nil, fmt.Errorf("exec: scan %s: lost column %s", s.TableName, def.Name)
-		}
-		op.outIdx = append(op.outIdx, idx)
-	}
-	if s.Sample != nil {
-		for _, col := range s.Sample.KeyColumns {
-			idx := tschema.ColumnIndex(col)
-			if idx < 0 {
-				return nil, fmt.Errorf("exec: sampler key column %q not in table %s", col, s.TableName)
-			}
-			op.keyIdx = append(op.keyIdx, idx)
-		}
-	}
-	return op, nil
+	return &morselAgg{ctx: ctx, node: a, scan: s, residual: residual,
+		counters: counters, workers: workers, outIdx: src.outIdx}, nil
 }
-
-// Schema implements Operator.
-func (op *morselAggOp) Schema() storage.Schema { return op.node.Schema() }
-
-// Open implements Operator.
-func (op *morselAggOp) Open() error { return nil }
-
-// Close implements Operator.
-func (op *morselAggOp) Close() error { return nil }
 
 // mappedRow adapts direct table access to the scan's output schema:
 // column i of the scan output is column out[i] of the table. Residual
@@ -330,29 +285,9 @@ type mappedRow struct {
 // ColumnValue implements expr.Row.
 func (r mappedRow) ColumnValue(i int) storage.Value { return r.t.Column(r.out[i]).Value(r.idx) }
 
-// Next implements Operator. The single call performs the whole parallel
-// scan-aggregate and returns the merged output batch.
-func (op *morselAggOp) Next() (*Batch, error) {
-	if op.done {
-		return nil, nil
-	}
-	op.done = true
-	groups, err := op.computeGroups()
-	if err != nil {
-		return nil, err
-	}
-	out := finalizeGroups(op.node, groups)
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
 // computeGroups runs the parallel scan-aggregate and returns the merged
-// partial group states without finalizing them — the seam the sharded
-// scatter executor uses to ship mergeable partials instead of finished
-// batches.
-func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
+// partial group states without finalizing them.
+func (op *morselAgg) computeGroups() (map[string]*groupState, error) {
 	// Scan a snapshot: concurrent appends to the live table neither tear
 	// the read prefix nor move the row count mid-scan, and every worker
 	// sees the same version.
@@ -389,7 +324,13 @@ func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
 	// already-decided morsel geometry: worker spans are pre-created here in
 	// index order so the profile is deterministic, and nothing below feeds
 	// back into sizing, claiming, or merge order.
-	var workerSpans []*trace.Span
+	var (
+		workerSpans []*trace.Span
+		busy        []time.Duration
+		morsels     []int64
+		last        []time.Time
+		poolStart   time.Time
+	)
 	if op.sp != nil {
 		op.sp.SetAttrInt("workers", int64(workers))
 		op.sp.SetAttrInt("morsels", int64(nMorsels))
@@ -401,99 +342,58 @@ func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
 		for w := range workerSpans {
 			workerSpans[w] = op.sp.NewChild(fmt.Sprintf("worker %d", w))
 		}
+		busy = make([]time.Duration, workers)
+		morsels = make([]int64, workers)
+		last = make([]time.Time, workers)
+		poolStart = time.Now()
+		for w := range last {
+			last[w] = poolStart
+		}
 	}
 
 	partials := make([]map[string]*groupState, nMorsels)
-	if nMorsels > 0 {
-		runCtx, cancel := context.WithCancel(op.ctx)
-		defer cancel()
-		var (
-			next     int64
-			wg       sync.WaitGroup
-			once     sync.Once
-			firstErr error
-		)
-		fail := func(err error) {
-			// First failure wins and cancels the siblings.
-			once.Do(func() { firstErr = err; cancel() })
+	err := ParallelFor(op.ctx, nMorsels, workers, func(ctx context.Context, w, m int) error {
+		if err := injectMorsel.Inject(); err != nil {
+			return err
 		}
-		for w, wk := range wks {
-			var wsp *trace.Span
-			if workerSpans != nil {
-				wsp = workerSpans[w]
-			}
-			wg.Add(1)
-			go func(wk *morselWorker, wsp *trace.Span) {
-				defer wg.Done()
-				// Contain worker panics: convert to a typed error that fails
-				// only this query and cancels the sibling workers, instead
-				// of killing the process.
-				defer func() {
-					if r := recover(); r != nil {
-						fail(fault.AsError(r))
-					}
-				}()
-				var (
-					busy      time.Duration
-					morsels   int64
-					wallStart time.Time
-				)
-				if wsp != nil {
-					wallStart = time.Now()
-				}
-				for {
-					m := int(atomic.AddInt64(&next, 1)) - 1
-					if m >= nMorsels {
-						break
-					}
-					if err := injectMorsel.Inject(); err != nil {
-						fail(err)
-						break
-					}
-					lo := m * morselRows
-					hi := lo + morselRows
-					if hi > nRows {
-						hi = nRows
-					}
-					var part map[string]*groupState
-					var err error
-					if wsp != nil {
-						t0 := time.Now()
-						part, err = wk.processMorsel(runCtx, lo, hi)
-						busy += time.Since(t0)
-						morsels++
-					} else {
-						part, err = wk.processMorsel(runCtx, lo, hi)
-					}
-					if err != nil {
-						fail(err)
-						break
-					}
-					partials[m] = part
-				}
-				if wsp != nil {
-					// Stall = wall time minus morsel-processing time: claim
-					// contention plus tail idling after the last morsel.
-					wsp.AddTime(busy)
-					wsp.SetAttrInt("morsels", morsels)
-					stall := time.Since(wallStart) - busy
-					if stall < 0 {
-						stall = 0
-					}
-					wsp.SetAttr("stall", stall.Round(time.Microsecond).String())
-					wsp.SetRowsIn(wk.counters.RowsScanned)
-					wsp.AddRows(wk.counters.RowsEmitted)
-				}
-			}(wk, wsp)
+		lo := m * morselRows
+		hi := lo + morselRows
+		if hi > nRows {
+			hi = nRows
 		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+		var t0 time.Time
+		if busy != nil {
+			t0 = time.Now()
 		}
+		part, err := wks[w].processMorsel(ctx, lo, hi)
+		if busy != nil {
+			last[w] = time.Now()
+			busy[w] += last[w].Sub(t0)
+			morsels[w]++
+		}
+		partials[m] = part
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, wk := range wks {
+	for w, wk := range wks {
 		op.counters.Add(wk.counters)
 		op.scanned += wk.counters.RowsScanned
+		if workerSpans != nil {
+			// Stall = wall time up to the worker's last morsel minus
+			// morsel-processing time: claim contention and scheduling.
+			wsp := workerSpans[w]
+			wsp.AddTime(busy[w])
+			wsp.SetAttrInt("morsels", morsels[w])
+			stall := last[w].Sub(poolStart) - busy[w]
+			if stall < 0 {
+				stall = 0
+			}
+			wsp.SetAttr("stall", stall.Round(time.Microsecond).String())
+			wsp.SetRowsIn(wk.counters.RowsScanned)
+			wsp.AddRows(wk.counters.RowsEmitted)
+		}
 	}
 
 	var mergeStart time.Time
@@ -523,40 +423,23 @@ func (op *morselAggOp) computeGroups() (map[string]*groupState, error) {
 	return groups, nil
 }
 
-// morselWorker holds one worker's private sampler and counters. Samplers
-// are deterministic functions of (seed, row/block index, key), so every
-// worker's instance makes identical decisions; each worker gets its own
-// only to keep the hot loop free of sharing.
+// morselWorker holds one worker's private sampler state and counters;
+// each worker gets its own only to keep the hot loop free of sharing.
 type morselWorker struct {
-	op        *morselAggOp
-	table     *storage.Table
-	sampler   sample.RowSampler
-	blockSamp *sample.Block
-	keyBuf    []storage.Value
-	groupBuf  []storage.Value
-	counters  Counters
+	scanSource
+	op       *morselAgg
+	table    *storage.Table
+	groupBuf []storage.Value
+	counters Counters
 }
 
-func (op *morselAggOp) newWorker(table *storage.Table) (*morselWorker, error) {
-	wk := &morselWorker{op: op, table: table,
-		groupBuf: make([]storage.Value, len(op.node.GroupBy))}
-	if s := op.scan.Sample; s != nil {
-		rs, err := sample.New(*s, table.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		switch st := rs.(type) {
-		case *sample.Block:
-			wk.blockSamp = st
-		case *sample.BiLevel:
-			wk.blockSamp = st.BlockSampler()
-			wk.sampler = biLevelRowStage{st}
-		default:
-			wk.sampler = rs
-		}
-		wk.keyBuf = make([]storage.Value, len(op.keyIdx))
+func (op *morselAgg) newWorker(table *storage.Table) (*morselWorker, error) {
+	src, err := newScanSource(op.scan)
+	if err != nil {
+		return nil, err
 	}
-	return wk, nil
+	return &morselWorker{scanSource: src, op: op, table: table,
+		groupBuf: make([]storage.Value, len(op.node.GroupBy))}, nil
 }
 
 // processMorsel runs the fused pipeline over rows [lo, hi) — morsels are
@@ -568,8 +451,8 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 	groups := make(map[string]*groupState)
 	blockSize := wk.table.BlockSize()
 	var weightCol storage.Column
-	if op.weightIdx >= 0 {
-		weightCol = wk.table.Column(op.weightIdx)
+	if wk.weightIdx >= 0 {
+		weightCol = wk.table.Column(wk.weightIdx)
 	}
 	// Global aggregates have a single group; hoist it out of the row loop.
 	var global *groupState
@@ -616,8 +499,8 @@ func (wk *morselWorker) processMorsel(ctx context.Context, lo, hi int) (map[stri
 			w := blockWeight
 			if wk.sampler != nil {
 				key := ""
-				if len(op.keyIdx) > 0 {
-					for i, idx := range op.keyIdx {
+				if len(wk.keyIdx) > 0 {
+					for i, idx := range wk.keyIdx {
 						wk.keyBuf[i] = wk.table.Column(idx).Value(row)
 					}
 					key = sample.KeyOf(wk.keyBuf)

@@ -85,13 +85,23 @@ var parallelQueries = []string{
 	"SELECT COUNT(*) FROM ev TABLESAMPLE UNIVERSE (30) ON (g)",
 }
 
+// edgeQueries are the shapes the morsel path does not fuse or handles
+// apart: the stateful distinct sampler (serial drain, also for partials),
+// COUNT(DISTINCT …) (the general accumulate slot), and a global aggregate
+// whose filter matches nothing (one row: COUNT 0, SUM and AVG NULL).
+var edgeQueries = []string{
+	"SELECT g, COUNT(*), SUM(v) FROM ev TABLESAMPLE DISTINCT (10, 50) ON (g) GROUP BY g ORDER BY g",
+	"SELECT g, COUNT(DISTINCT k), COUNT(DISTINCT flag) FROM ev GROUP BY g ORDER BY g",
+	"SELECT COUNT(*), SUM(v), AVG(v) FROM ev WHERE v < -5",
+}
+
 // TestParallelMatchesSerial checks the morsel path against the serial
 // Volcano operators. The two accumulate floats in different orders, so
 // float aggregates compare under a relative tolerance; everything else
 // must match exactly.
 func TestParallelMatchesSerial(t *testing.T) {
 	cat := parallelCatalog(t, 40_000)
-	for _, sql := range parallelQueries {
+	for _, sql := range append(append([]string{}, parallelQueries...), edgeQueries...) {
 		serial, err := RunContext(context.Background(), buildPlan(t, cat, sql))
 		if err != nil {
 			t.Fatalf("serial %q: %v", sql, err)

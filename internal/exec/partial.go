@@ -4,7 +4,7 @@ package exec
 //
 // Sharded scatter-gather execution fans a query's aggregate subtree out to
 // independent shards, each of which returns an AggPartial — the same
-// mergeable group states the morsel-parallel operator folds internally —
+// mergeable group states the morsel pipeline folds internally —
 // and the gather step merges them in shard order, finalizes once, and
 // re-applies the plan nodes sitting above the aggregate (HAVING filter,
 // projection, sort, limit). Merging HT partials across shards is exactly
@@ -21,8 +21,6 @@ import (
 	"sort"
 
 	"repro/internal/plan"
-	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // AggPartial is the portable partial-aggregation state of one execution
@@ -61,43 +59,25 @@ func RunAggPartialContext(ctx context.Context, root plan.Node, workers int) (*Ag
 		workers = ResolveWorkers(ctx, 0)
 	}
 	part := &AggPartial{}
-	if scan, residual, ok := morselEligible(a); ok {
-		sp, _ := trace.StartOp(ctx, a.Explain()+" [morsel partial]")
-		op, err := newMorselAggOp(ctx, a, scan, residual, &part.Counters, workers)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		op.sp = sp
-		sp.SetAttr("scan", scan.Explain())
-		groups, err := op.computeGroups()
-		sp.AddRows(op.scanned)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		part.groups = groups
-		return part, nil
-	}
-	// Serial path: run the child operator tree and accumulate its rows.
-	sp, cctx := trace.StartOp(ctx, a.Explain()+" [serial partial]")
+	op, sp, err := (&builder{counters: &part.Counters, workers: workers, partial: true}).aggregate(ctx, a)
 	defer sp.End()
-	child, err := BuildOperatorContext(cctx, a.Child, &part.Counters)
 	if err != nil {
 		return nil, err
 	}
-	if err := child.Open(); err != nil {
+	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	groups := make(map[string]*groupState)
-	if err := drainIntoGroups(a, child, groups); err != nil {
-		_ = child.Close()
+	part.groups, err = op.groups()
+	if op.morsel != nil {
+		sp.AddRows(op.morsel.scanned)
+	}
+	if err != nil {
+		_ = op.Close()
 		return nil, err
 	}
-	if err := child.Close(); err != nil {
+	if err := op.Close(); err != nil {
 		return nil, err
 	}
-	part.groups = groups
 	return part, nil
 }
 
@@ -189,37 +169,6 @@ func (p *AggPartial) ScaleForCoverage(r float64) {
 	}
 }
 
-// partialSourceOp is a leaf operator that finalizes an already-merged
-// partial into the aggregate's output batch: the gather-side stand-in for
-// the whole scan…aggregate subtree.
-type partialSourceOp struct {
-	node *plan.Aggregate
-	part *AggPartial
-	done bool
-}
-
-// Schema implements Operator.
-func (op *partialSourceOp) Schema() storage.Schema { return op.node.Schema() }
-
-// Open implements Operator.
-func (op *partialSourceOp) Open() error { return nil }
-
-// Close implements Operator.
-func (op *partialSourceOp) Close() error { return nil }
-
-// Next implements Operator.
-func (op *partialSourceOp) Next() (*Batch, error) {
-	if op.done {
-		return nil, nil
-	}
-	op.done = true
-	out := finalizeGroups(op.node, op.part.groups)
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
 // Gatherable reports whether root has the plan shape FinalizeAggPartial
 // can reassemble: a single Aggregate with only Filter/Project/Sort/Limit
 // above it. Callers check this before committing to scatter-gather.
@@ -250,50 +199,5 @@ func Gatherable(root plan.Node) bool {
 // run. The partial's counters are carried into the result.
 func FinalizeAggPartial(ctx context.Context, root plan.Node, part *AggPartial) (*Result, error) {
 	counters := part.Counters
-	op, err := buildGatherOperator(ctx, root, part, &counters)
-	if err != nil {
-		return nil, err
-	}
-	return drainOperator(ctx, op, root.Schema(), &counters)
-}
-
-// buildGatherOperator compiles the above-aggregate plan chain, splicing in
-// the precomputed partial at the Aggregate node. Shapes with anything but
-// Filter/Project/Sort/Limit above the aggregate are not gatherable.
-func buildGatherOperator(ctx context.Context, n plan.Node, part *AggPartial, counters *Counters) (Operator, error) {
-	switch t := n.(type) {
-	case *plan.Aggregate:
-		sp, _ := trace.StartOp(ctx, t.Explain()+" [gather]")
-		sp.SetAttrInt("groups", int64(len(part.groups)))
-		return wrapOp(&partialSourceOp{node: t, part: part}, sp), nil
-	case *plan.Filter:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&filterOp{child: child, pred: t.Pred}, sp), nil
-	case *plan.Project:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&projectOp{child: child, node: t, schema: t.Schema()}, sp), nil
-	case *plan.Sort:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&sortOp{node: t, child: child}, sp), nil
-	case *plan.Limit:
-		sp, cctx := trace.StartOp(ctx, t.Explain())
-		child, err := buildGatherOperator(cctx, t.Child, part, counters)
-		if err != nil {
-			return nil, err
-		}
-		return wrapOp(&limitOp{child: child, n: t.N}, sp), nil
-	}
-	return nil, fmt.Errorf("exec: plan node %T above the aggregate is not gatherable", n)
+	return (&builder{counters: &counters, part: part}).run(ctx, root)
 }

@@ -14,7 +14,7 @@ import (
 // rebuilds the same above-aggregate operators.
 func TestPartialFinalizeMatchesDirect(t *testing.T) {
 	cat := parallelCatalog(t, 40_000)
-	queries := append([]string{}, parallelQueries...)
+	queries := append(append([]string{}, parallelQueries...), edgeQueries...)
 	queries = append(queries,
 		"SELECT g, SUM(v) AS s FROM ev GROUP BY g HAVING SUM(v) > 1000 ORDER BY g",
 		"SELECT g, COUNT(*) FROM ev GROUP BY g ORDER BY g LIMIT 3",

@@ -17,64 +17,79 @@ import (
 // small *output* groups survive; for the stateless samplers the two orders
 // are distributionally identical (the sampling-equivalence rule).
 type scanOp struct {
+	scanSource
 	scan     *plan.Scan
 	counters *Counters
 	ctx      context.Context
-
-	outIdx    []int // table column index per output column
-	weightIdx int   // hidden weight column in table, or -1
-	keyIdx    []int // sampler key columns in table
-	sampler   sample.RowSampler
-	blockSamp *sample.Block
 
 	table   *storage.Table
 	nRows   int
 	row     int
 	block   int
-	keyBuf  []storage.Value
 	scanned int64 // rows examined by this operator (for trace rows-in)
 }
 
 // inputRows implements inputRowsReporter.
-func (op *scanOp) inputRows() int64 { return op.scanned }
+func (op *scanOp) inputRows() (int64, bool) { return op.scanned, true }
 
 func newScanOp(ctx context.Context, s *plan.Scan, counters *Counters) (*scanOp, error) {
-	op := &scanOp{scan: s, counters: counters, ctx: ctx, table: s.Table, weightIdx: -1}
+	src, err := newScanSource(s)
+	if err != nil {
+		return nil, err
+	}
+	return &scanOp{scanSource: src, scan: s, counters: counters, ctx: ctx, table: s.Table}, nil
+}
+
+// scanSource is a scan's resolved table layout and private sampler
+// state: the front half shared by scanOp and every morsel worker.
+// Samplers are deterministic functions of (seed, row/block index, key),
+// so separate instances make identical decisions.
+type scanSource struct {
+	outIdx    []int // table column index per output column
+	weightIdx int   // hidden weight column in table, or -1
+	keyIdx    []int // sampler key columns in table
+	sampler   sample.RowSampler
+	blockSamp *sample.Block
+	keyBuf    []storage.Value
+}
+
+func newScanSource(s *plan.Scan) (scanSource, error) {
+	src := scanSource{weightIdx: s.WeightColumnIndex()}
 	tschema := s.Table.Schema()
 	for _, def := range s.Schema() {
 		idx := tschema.ColumnIndex(def.Name)
 		if idx < 0 {
-			return nil, fmt.Errorf("exec: scan %s: lost column %s", s.TableName, def.Name)
+			return src, fmt.Errorf("exec: scan %s: lost column %s", s.TableName, def.Name)
 		}
-		op.outIdx = append(op.outIdx, idx)
+		src.outIdx = append(src.outIdx, idx)
 	}
-	op.weightIdx = s.WeightColumnIndex()
-	if s.Sample != nil {
-		rs, err := sample.New(*s.Sample, s.Table.BlockSize())
-		if err != nil {
-			return nil, err
-		}
-		switch st := rs.(type) {
-		case *sample.Block:
-			op.blockSamp = st
-		case *sample.BiLevel:
-			// Split the stages so non-sampled blocks are skipped at the
-			// block level and kept blocks are thinned row by row.
-			op.blockSamp = st.BlockSampler()
-			op.sampler = biLevelRowStage{st}
-		default:
-			op.sampler = rs
-		}
-		for _, col := range s.Sample.KeyColumns {
-			idx := tschema.ColumnIndex(col)
-			if idx < 0 {
-				return nil, fmt.Errorf("exec: sampler key column %q not in table %s", col, s.TableName)
-			}
-			op.keyIdx = append(op.keyIdx, idx)
-		}
-		op.keyBuf = make([]storage.Value, len(op.keyIdx))
+	if s.Sample == nil {
+		return src, nil
 	}
-	return op, nil
+	rs, err := sample.New(*s.Sample, s.Table.BlockSize())
+	if err != nil {
+		return src, err
+	}
+	switch st := rs.(type) {
+	case *sample.Block:
+		src.blockSamp = st
+	case *sample.BiLevel:
+		// Split the stages so non-sampled blocks are skipped at the
+		// block level and kept blocks are thinned row by row.
+		src.blockSamp = st.BlockSampler()
+		src.sampler = biLevelRowStage{st}
+	default:
+		src.sampler = rs
+	}
+	for _, col := range s.Sample.KeyColumns {
+		idx := tschema.ColumnIndex(col)
+		if idx < 0 {
+			return src, fmt.Errorf("exec: sampler key column %q not in table %s", col, s.TableName)
+		}
+		src.keyIdx = append(src.keyIdx, idx)
+	}
+	src.keyBuf = make([]storage.Value, len(src.keyIdx))
+	return src, nil
 }
 
 // Schema implements Operator.

@@ -13,12 +13,12 @@ import (
 	"repro/internal/trace"
 )
 
-// inputRowsReporter is implemented by operators that know their true input
-// cardinality (rows scanned), which is not visible from child batches:
-// scanOp and the fused morselAggOp. For everything else rows-in is
-// inferred at snapshot time from child rows-out.
+// inputRowsReporter is implemented by operators that may know their true
+// input cardinality (rows scanned), which is not visible from child
+// batches: scanOp, and aggOp over the fused morsel pipeline. When it
+// reports false, rows-in is inferred at snapshot time from child rows-out.
 type inputRowsReporter interface {
-	inputRows() int64
+	inputRows() (int64, bool)
 }
 
 // traceOp decorates an operator with span accounting. Reported time is
@@ -65,7 +65,9 @@ func (op *traceOp) Close() error {
 	err := op.inner.Close()
 	op.sp.AddTime(time.Since(t0))
 	if r, ok := op.inner.(inputRowsReporter); ok {
-		op.sp.SetRowsIn(r.inputRows())
+		if n, known := r.inputRows(); known {
+			op.sp.SetRowsIn(n)
+		}
 	}
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/sample"
@@ -234,6 +235,8 @@ type SelectStmt struct {
 	// Analyze implies Explain.
 	Explain bool
 	Analyze bool
+
+	fp atomic.Pointer[Fingerprint] // memoized Fingerprint
 }
 
 // Aggregates returns all AggExpr nodes in the select items and HAVING

@@ -37,7 +37,21 @@ type Fingerprint struct {
 // parse-able statement fingerprints without error, and the EXPLAIN /
 // EXPLAIN ANALYZE prefix is ignored so analysis runs correlate with
 // their plain shape.
+// The result is memoized on the statement, so serving a query (stamping
+// the result, filing the workload scorecard) computes it once, and
+// concurrent readers may share one statement: mutate a statement only
+// before its first Fingerprint call. Callers must not modify the
+// returned QCS.
 func (s *SelectStmt) Fingerprint() Fingerprint {
+	if fp := s.fp.Load(); fp != nil {
+		return *fp
+	}
+	fp := s.fingerprint()
+	s.fp.Store(&fp)
+	return fp
+}
+
+func (s *SelectStmt) fingerprint() Fingerprint {
 	tmpl := s.TemplateString()
 	qcs := s.QueryColumnSet()
 	h := fnv.New64a()

@@ -3,6 +3,7 @@ package sqlparse
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -141,5 +142,34 @@ func TestFingerprintHashShape(t *testing.T) {
 	}
 	if fp.Template == "" {
 		t.Fatal("empty template")
+	}
+}
+
+// TestFingerprintMemoized: a statement computes its fingerprint once, so
+// the second call allocates nothing, and goroutines sharing one fresh
+// statement all read the same fingerprint (run under -race).
+func TestFingerprintMemoized(t *testing.T) {
+	const sql = "SELECT g, SUM(x) FROM t WHERE x > 5 GROUP BY g"
+	stmt := mustParse(t, sql)
+	want := stmt.Fingerprint()
+	if allocs := testing.AllocsPerRun(100, func() { _ = stmt.Fingerprint() }); allocs != 0 {
+		t.Fatalf("memoized Fingerprint allocates %.0f times per call, want 0", allocs)
+	}
+
+	shared := mustParse(t, sql)
+	got := make([]Fingerprint, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = shared.Fingerprint()
+		}(i)
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if !reflect.DeepEqual(fp, want) {
+			t.Fatalf("goroutine %d read %+v, want %+v", i, fp, want)
+		}
 	}
 }

@@ -175,3 +175,45 @@ func resultText(res *Result) string {
 	}
 	return sb.String()
 }
+
+// TestAggregateOverNoValuesModes: an aggregate over no non-NULL value
+// answers as SQL does, whichever engine answers it: a global aggregate
+// whose filter matches no row returns one row with COUNT 0 and SUM NULL,
+// and SUM over an all-NULL argument (x / 0) is NULL. OLA (also the first
+// rung of the degradation ladder) used to return no row for the first
+// and 0 for the second.
+func TestAggregateOverNoValuesModes(t *testing.T) {
+	db := profileDB(t)
+	for _, q := range []struct {
+		sql   string
+		count float64
+	}{
+		{"SELECT COUNT(*), SUM(x) FROM t WHERE x < -5", 0},
+		{"SELECT COUNT(*), SUM(x / 0) FROM t", 48_000},
+	} {
+		for _, tc := range []struct {
+			name string
+			opts QueryOptions
+		}{
+			{"exact", QueryOptions{Mode: "exact"}},
+			{"ola", QueryOptions{Mode: "ola"}},
+			{"online", QueryOptions{Mode: "online"}},
+			{"as-written", QueryOptions{Mode: "as-written"}},
+			{"ola contract", QueryOptions{Mode: "ola", Contract: true}},
+		} {
+			res, err := db.Query(context.Background(), q.sql, tc.opts)
+			if err != nil {
+				t.Fatalf("%s %q: %v", tc.name, q.sql, err)
+			}
+			if len(res.Rows) != 1 {
+				t.Fatalf("%s %q: %d rows, want 1: %v", tc.name, q.sql, len(res.Rows), res.Rows)
+			}
+			if n := res.Rows[0][0]; n.IsNull() || n.AsFloat() != q.count {
+				t.Errorf("%s %q: COUNT(*) = %v, want %v", tc.name, q.sql, n, q.count)
+			}
+			if s := res.Rows[0][1]; !s.IsNull() {
+				t.Errorf("%s %q: SUM = %v, want NULL", tc.name, q.sql, s)
+			}
+		}
+	}
+}
